@@ -1,70 +1,13 @@
 """Linear probing under k-independent hashing, signature filters, and the
 moment-bound machinery that explains why they are fast."""
 
-from .hashing import (
-    MERSENNE61,
-    DEFAULT_FIELD,
-    LinearHash,
-    PolynomialHash,
-    PrimeField,
-    TabulationHash,
-    TrulyRandomHash,
-    derived_rng,
-    derived_seed,
-    new_linear,
-    new_polynomial,
-    new_tabulation,
-    verify_independence_exact,
-)
-from .probing import (
-    DyadicInterval,
-    ProbeTable,
-    Run,
-    TableFullError,
-    WrappingRunError,
-    check_query_run_lemma,
-    check_run_lemma,
-    hash_counts,
-    interval_hash_count,
-    near_full_threshold,
-    run_containing,
-    runs,
-    table_size_for,
-    verify_fill_invariant,
-)
-from .filters import (
-    MODES,
-    FprReport,
-    SignatureFilter,
-    make_filter,
-    measure_fpr,
-    sample_distinct_keys,
-    scan_keys,
-    subsequence_scan_check,
-)
-from .moments import (
-    BernoulliProfile,
-    TailReport,
-    brute_force_moment,
-    exact_fourth_moment,
-    fourth_moment_bound,
-    fourth_moment_bound_sharp,
-    kth_moment_bound_check,
-    kth_moment_bound_terms,
-    sum_distribution,
-    tail_check,
-)
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    Row,
-    default_config,
-    make_family,
-    max_run_from_counts,
-    rows_to_csv,
-    rows_to_json,
-    run_experiment,
-)
+from . import experiments, filters, hashing, moments, probing
+from .hashing import *
+from .probing import *
+from .filters import *
+from .moments import *
+from .experiments import *
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [*hashing.__all__, *probing.__all__, *filters.__all__, *moments.__all__,
+           *experiments.__all__]
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .experiments import (
     EXPERIMENTS,
@@ -62,8 +61,8 @@ def main(argv=None) -> int:
 
     try:
         if args.config:
-            config = ExperimentConfig.from_json(args.config)
-            config = replace(config, experiment=args.experiment, seed=args.seed)
+            config = ExperimentConfig.from_json(args.config, experiment=args.experiment,
+                                                seed=args.seed)
         else:
             config = default_config(args.experiment, seed=args.seed)
     except (OSError, ValueError, TypeError) as exc:

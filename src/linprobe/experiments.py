@@ -26,9 +26,19 @@ from .hashing import (
     new_polynomial,
     new_tabulation,
 )
-from .probing import ProbeTable, near_full_threshold, table_size_for
+from .probing import (
+    ProbeTable,
+    _histogram,
+    max_run_from_counts,
+    near_full_threshold,
+    table_size_for,
+)
+
+__all__ = ["EXPERIMENTS", "ExperimentConfig", "Row", "default_config", "make_family",
+    "rows_to_csv", "rows_to_json", "run_experiment"]
 
 FAMILIES = ("poly2", "poly3", "poly5", "linear", "tabulation", "random")
+SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead of uniform
 
 TABULATION_CHARS = 4
 TABULATION_CHAR_BITS = 16
@@ -73,11 +83,15 @@ class ExperimentConfig:
     table_trials: int = 20
     query_trials: int = 100_000
     seed: int = 0
-    out: Optional[str] = None
 
     def __post_init__(self):
+        for family in self.families:
+            if family not in FAMILIES and family not in SEQ_FAMILIES:
+                raise ValueError(f"unknown hash family {family!r}")
         if not 0 < self.load_target < 1:
             raise ValueError("load target must lie in (0, 1)")
+        if self.table_trials < 1:
+            raise ValueError("table_trials must be at least 1")
         for n in self.n_values:
             if n < 1:
                 raise ValueError("n values must be positive")
@@ -98,9 +112,10 @@ class ExperimentConfig:
         return cls(**raw)
 
     @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
+    def from_json(cls, path: str, **override) -> "ExperimentConfig":
+        """Config from a JSON file; keyword fields take precedence over it."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict({**json.load(fh), **override})
 
 
 @dataclass(frozen=True)
@@ -209,13 +224,15 @@ def exp_probe_cost(config: ExperimentConfig, threads: int = 1) -> list[Row]:
 # ---------------------------------------------------------------------------
 # interval concentration
 
+def _trial_counts(family: str, n: int, t: int, seed: int, stream: int) -> np.ndarray:
+    """Per-slot hash histogram of one trial's keys."""
+    h = make_family(family, t, seed, stream)
+    return _histogram(h, trial_keys(family, n, seed, stream + 1), t)
+
+
 def _interval_trial(arg):
     family, n, t, seed, stream, levels = arg
-    h = make_family(family, t, seed, stream)
-    keys = trial_keys(family, n, seed, stream + 1)
-    counts = np.zeros(t, dtype=np.int64)
-    for x in keys:
-        counts[h(x)] += 1
+    counts = _trial_counts(family, n, t, seed, stream)
     out = {}
     for level in levels:
         width = 1 << level
@@ -261,41 +278,8 @@ def exp_interval_concentration(config: ExperimentConfig, threads: int = 1) -> li
 # ---------------------------------------------------------------------------
 # max run
 
-def max_run_from_counts(counts: np.ndarray) -> int:
-    """Longest maximal occupied interval of the linear probing table whose
-    per-slot hash histogram is `counts`.  Occupancy is order-independent,
-    so it is fully determined by the histogram.
-
-    Two cyclic sweeps propagate the overflow carry; the second starts from
-    a settled carry, which exists because the table is not full.
-    """
-    t = len(counts)
-    if counts.sum() >= t:
-        raise ValueError("table is full")
-    carry = 0
-    best = cur = 0
-    for sweep in range(2):
-        for c in counts:
-            filled = c + carry
-            if filled > 0:
-                cur += 1
-                carry = filled - 1
-            else:
-                if sweep and cur > best:
-                    best = cur
-                cur = 0
-                carry = 0
-    return max(best, cur)
-
-
 def _max_run_trial(arg):
-    family, n, t, seed, stream = arg
-    h = make_family(family, t, seed, stream)
-    keys = trial_keys(family, n, seed, stream + 1)
-    counts = np.zeros(t, dtype=np.int64)
-    for x in keys:
-        counts[h(x)] += 1
-    return max_run_from_counts(counts)
+    return max_run_from_counts(_trial_counts(*arg))
 
 
 def exp_max_run(config: ExperimentConfig, threads: int = 1) -> list[Row]:

@@ -20,6 +20,9 @@ from .hashing import (
 )
 from .probing import ProbeTable, TableFullError
 
+__all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr",
+    "sample_distinct_keys", "scan_keys", "subsequence_scan_check"]
+
 MODES = ("independent", "paired", "hash_of_signature", "tabulation_paired")
 
 

@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+__all__ = ["MERSENNE61", "DEFAULT_FIELD", "LinearHash", "PolynomialHash", "PrimeField",
+    "TabulationHash", "TrulyRandomHash", "derived_rng", "derived_seed", "new_linear",
+    "new_polynomial", "new_tabulation", "verify_independence_exact"]
+
 # Fixed production modulus: the Mersenne prime 2^61 - 1.
 MERSENNE61 = (1 << 61) - 1
 
@@ -219,10 +223,7 @@ def new_tabulation(
     size = 1 << char_bits
     tables = []
     for _ in range(c):
-        if output_bits == 64:
-            words = rng.integers(0, 1 << 64, size=size, dtype=np.uint64)
-        else:
-            words = rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
+        words = rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
         tables.append(tuple(int(w) for w in words))
     return TabulationHash(
         char_count=c, char_bits=char_bits, output_bits=output_bits, tables=tuple(tables)

@@ -13,6 +13,10 @@ import numpy as np
 
 from .hashing import derived_rng
 
+__all__ = ["BernoulliProfile", "TailReport", "brute_force_moment", "exact_fourth_moment",
+    "fourth_moment_bound", "fourth_moment_bound_sharp", "kth_moment_bound_check",
+    "kth_moment_bound_terms", "sum_distribution", "tail_check"]
+
 ENUM_LIMIT = 20
 
 

@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -11,6 +12,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .hashing import _is_pow2
+
+__all__ = ["DyadicInterval", "ProbeTable", "Run", "TableFullError", "WrappingRunError",
+    "check_query_run_lemma", "check_run_lemma", "hash_counts", "interval_hash_count",
+    "max_run_from_counts", "near_full_threshold", "occupancy", "run_containing", "runs",
+    "table_size_for", "verify_fill_invariant"]
 
 
 class SearchResult(NamedTuple):
@@ -156,57 +162,79 @@ def verify_fill_invariant(table: ProbeTable):
     return None
 
 
+def occupancy(counts: np.ndarray) -> np.ndarray:
+    """Occupied-slot mask of the linear probing table whose per-slot hash
+    histogram is `counts`; occupancy does not depend on insertion order.
+
+    The carry out of slot i follows the Lindley recursion
+    carry_i = max(0, carry_{i-1} + c_i - 1), so it is the prefix sum P of
+    counts - 1, offset by the carry wrapping into slot 0 (P_{t-1} - min P),
+    minus its running minimum floored at 0.  A slot is empty exactly where
+    that minimum drops.
+    """
+    t = len(counts)
+    if counts.sum() >= t:
+        raise ValueError("table is full")
+    s = np.subtract(counts, 1, dtype=np.int64)
+    np.cumsum(s, out=s)
+    s += s[-1] - s.min()
+    np.minimum.accumulate(s, out=s)
+    np.minimum(s, 0, out=s)
+    occupied = np.empty(t, dtype=bool)
+    occupied[0] = s[0] == 0
+    np.equal(s[1:], s[:-1], out=occupied[1:])
+    return occupied
+
+
+def _run_bounds(occupied: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts (ascending) and lengths of the maximal cyclic runs of an
+    occupied-slot mask with at least one empty slot."""
+    marks = occupied.view(np.int8)
+    edges = np.diff(marks, prepend=marks[-1])
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    if occupied[-1]:  # the last run reaches slot t - 1, so its end edge comes first
+        ends = np.roll(ends, -1)
+    return starts, (ends - starts) % len(occupied)
+
+
 def runs(table: ProbeTable) -> list[Run]:
     """Maximal cyclic intervals of occupied slots, in slot order of their
     (cyclic) start.  Requires at least one empty slot."""
-    t, slots = table.t, table.slots
-    if table.n >= t:
+    if table.n >= table.t:
         raise TableFullError("a full table has no maximal runs")
-    if table.n == 0:
-        return []
-    # scan from just past some empty slot so runs never straddle the origin
-    origin = next(i for i in range(t) if slots[i] is None)
-    out = []
-    start, length = None, 0
-    for off in range(1, t + 1):
-        i = (origin + off) % t
-        if slots[i] is not None:
-            if start is None:
-                start = i
-            length += 1
-        elif start is not None:
-            out.append(Run(start, length))
-            start, length = None, 0
-    out.sort()
-    return out
+    occupied = np.fromiter((s is not None for s in table.slots), dtype=bool, count=table.t)
+    return [Run(int(start), int(length)) for start, length in zip(*_run_bounds(occupied))]
+
+
+def _run_at(table: ProbeTable, slot: int) -> Run:
+    """The run covering `slot`, or Run(slot, 0) if the slot is empty."""
+    if table.slots[slot] is None:
+        return Run(slot, 0)
+    rs = runs(table)
+    # an occupied slot before the first start lies in the last run, which wraps
+    return rs[bisect.bisect_right(rs, (slot, table.t)) - 1]
 
 
 def run_containing(table: ProbeTable, slot: int) -> int:
     """Length of the run covering `slot`; 0 if the slot is empty."""
-    slots, mask = table.slots, table.t - 1
-    if slots[slot] is None:
-        return 0
-    if table.n >= table.t:
-        raise TableFullError("a full table has no maximal runs")
-    length = 1
-    i = (slot + 1) & mask
-    while slots[i] is not None:
-        length += 1
-        i = (i + 1) & mask
-    i = (slot - 1) & mask
-    while slots[i] is not None:
-        length += 1
-        i = (i - 1) & mask
-    return length
+    return _run_at(table, slot).length
+
+
+def max_run_from_counts(counts: np.ndarray) -> int:
+    """Longest maximal occupied interval of the linear probing table whose
+    per-slot hash histogram is `counts`."""
+    return int(_run_bounds(occupancy(counts))[1].max(initial=0))
+
+
+def _histogram(hash_fn, keys, t: int) -> np.ndarray:
+    """Per-slot count of the keys' hash values, hashed in iteration order."""
+    return np.bincount(np.fromiter(map(hash_fn, keys), dtype=np.int64), minlength=t)
 
 
 def hash_counts(table: ProbeTable) -> np.ndarray:
     """Per-slot histogram of the stored keys' hash values; the analytics
     below take it precomputed to stay linear over many checks."""
-    counts = np.zeros(table.t, dtype=np.int64)
-    for x in table.keys():
-        counts[table.hash_fn(x)] += 1
-    return counts
+    return _histogram(table.hash_fn, table.keys(), table.t)
 
 
 def interval_hash_count(
@@ -280,16 +308,14 @@ def check_query_run_lemma(
     failure.
     """
     hq = table.hash_fn(q)
-    r = run_containing(table, hq)
+    run = _run_at(table, hq)
+    r = run.length
     if r < 4:
         return None
     level = r.bit_length() - 3  # largest l with 2^(l+2) <= r
     assert 1 << (level + 2) <= r < 1 << (level + 3)
-    for run in runs(table):
-        if (hq - run.start) % table.t < run.length:
-            if run.start + run.length > table.t:
-                raise WrappingRunError("run containing h(q) wraps")
-            break
+    if run.start + run.length > table.t:
+        raise WrappingRunError("run containing h(q) wraps")
     if counts is None:
         counts = hash_counts(table)
     own = hq >> level

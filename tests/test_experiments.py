@@ -1,9 +1,11 @@
 import json
 import math
+import types
 from dataclasses import replace
 
 import pytest
 
+import linprobe
 from linprobe.cli import main as cli_main
 from linprobe.experiments import (
     EXPERIMENTS,
@@ -16,7 +18,7 @@ from linprobe.experiments import (
     run_experiment,
 )
 from linprobe.hashing import TrulyRandomHash, derived_rng
-from linprobe.probing import ProbeTable, runs
+from linprobe.probing import ProbeTable, occupancy, runs
 
 import numpy as np
 
@@ -217,6 +219,25 @@ class TestCli:
                        str(tmp_path / "x.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("bad", [{"out": "x.csv"}, {"families": ["poly7"]},
+                                     {"table_trials": 0}])
+    def test_bad_config_value(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": "max_run", "n_values": [64], **bad}))
+        out = tmp_path / "x.csv"
+        rc = cli_main(["--experiment", "max_run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "error: bad config" in capsys.readouterr().err
+
+    def test_config_without_experiment_uses_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"families": ["random"], "n_values": [64],
+                                   "table_trials": 2}))
+        out = tmp_path / "x.csv"
+        rc = cli_main(["--experiment", "max_run", "--config", str(cfg), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().split("\n")[1].startswith("max_run,random,64,")
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "probe_cost", "families": ["poly5"],
@@ -242,6 +263,13 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload and {"experiment", "family", "n", "t", "b", "seed",
                             "metric", "value"} <= set(payload[0])
+
+
+def test_package_exports():
+    assert len(set(linprobe.__all__)) == len(linprobe.__all__)
+    for name in linprobe.__all__:
+        assert not isinstance(getattr(linprobe, name), types.ModuleType), name
+    assert linprobe.occupancy is occupancy
 
 
 def test_make_family_names():

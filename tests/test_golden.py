@@ -1,0 +1,41 @@
+"""Golden bytes: the CSV output of every experiment, on small configs, is
+pinned by sha256 at seeds 0 and 42.  A refactor that changes any row
+fails here."""
+
+import hashlib
+
+import pytest
+
+from linprobe.experiments import ExperimentConfig, rows_to_csv, run_experiment
+
+SMALL = {
+    "probe_cost": dict(families=("poly2", "poly2_seq", "poly3", "poly5", "tabulation", "random"),
+                       n_values=(256,), table_trials=2, query_trials=400),
+    "interval_concentration": dict(families=("poly5", "random"), n_values=(256,),
+                                   table_trials=20),
+    "max_run": dict(families=("random", "tabulation"), n_values=(256, 1024), table_trials=4),
+    "three_indep": dict(n_values=(256,), table_trials=2, query_trials=400),
+    "filter_fpr": dict(b_values=(4, 8), n_values=(256,), query_trials=1000),
+}
+
+PINS = {
+    ("probe_cost", 0): "30bf1a29fbba33750fee636609ad97e65247c30917c4fa661113e1bc008df84f",
+    ("probe_cost", 42): "11a9843a4f91a1cbc38c57f48f5f08ae0ea77249b135819691fb1a5a146c236b",
+    ("interval_concentration", 0):
+        "ce57735986456ae57d27509e2f641c273e81156274e8d595a1439bd9a8227f05",
+    ("interval_concentration", 42):
+        "baa25857475a2b407a7eadd7fb34e5277ccf339562f0f095f4541035dff1cee0",
+    ("max_run", 0): "6a34e41e0c67ef03f273cd451e83f2705371a8b87c51b8c0b81846ee8e70728c",
+    ("max_run", 42): "3d1e2ff11b32ba5198fe5f0b469f832eb1b4e80280fc6070519e4a16df89b611",
+    ("three_indep", 0): "5fb519280936193e8eb9ac8021807e2969f43f33786ea6f8727b315c570bad8a",
+    ("three_indep", 42): "c594c0ab62069ec32e3b3f7ae619ec6e1f655c777b3ec857f85bbff78e76db64",
+    ("filter_fpr", 0): "91fe769b25fa7be15382b15cff168eb7b5f2ecff2ea7ff64102ca429e3b9eec9",
+    ("filter_fpr", 42): "d4bcb6fe9dc7e6a959b6dc9c0c674cb3d0b91ba0dbdac0900f8737b2b221943d",
+}
+
+
+@pytest.mark.parametrize("experiment,seed", sorted(PINS))
+def test_csv_bytes_pinned(experiment, seed):
+    config = ExperimentConfig(experiment=experiment, seed=seed, **SMALL[experiment])
+    digest = hashlib.sha256(rows_to_csv(run_experiment(config)).encode()).hexdigest()
+    assert digest == PINS[experiment, seed]

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linprobe.hashing import TrulyRandomHash, derived_rng, new_polynomial
 from linprobe.probing import (
@@ -14,7 +14,9 @@ from linprobe.probing import (
     check_run_lemma,
     hash_counts,
     interval_hash_count,
+    max_run_from_counts,
     near_full_threshold,
+    occupancy,
     run_containing,
     runs,
     table_size_for,
@@ -331,6 +333,36 @@ def test_hypothesis_fill_invariant_and_model(ops):
             assert table.search(x).found == (x in model)
         assert verify_fill_invariant(table) is None
     assert set(table.keys()) == model
+
+
+@st.composite
+def slot_lists(draw):
+    """A table size t <= 2^8 and the hash slot of each of n <= t - 1 keys."""
+    t = 1 << draw(st.integers(1, 8))
+    n = draw(st.sampled_from([0, t - 1]) | st.integers(0, t - 1))
+    if draw(st.booleans()):
+        return t, [draw(st.integers(0, t - 1))] * n
+    return t, draw(st.lists(st.integers(0, t - 1), min_size=n, max_size=n))
+
+
+@given(slot_lists())
+@example((8, [6] * 7))  # full but one, all in one slot, wrapping
+@example((16, [15, 15, 15, 0, 4]))  # a run wrapping past slot t - 1
+@settings(max_examples=200, deadline=None)
+def test_occupancy_matches_built_table(case):
+    t, slots = case
+    table = build(t, dict(enumerate(slots)), range(len(slots)))
+    counts = np.bincount(np.array(slots, dtype=np.int64), minlength=t)
+    occupied = table.occupied_set()
+    assert set(np.flatnonzero(occupancy(counts))) == occupied
+    rs = runs(table)
+    covered = [(r.start + i) % t for r in rs for i in range(r.length)]
+    assert sorted(covered) == sorted(occupied)
+    for r in rs:
+        assert (r.start - 1) % t not in occupied
+        assert (r.start + r.length) % t not in occupied
+        assert run_containing(table, (r.start + r.length - 1) % t) == r.length
+    assert max_run_from_counts(counts) == max((r.length for r in rs), default=0)
 
 
 def test_table_size_for():
