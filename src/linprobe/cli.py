@@ -33,7 +33,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--threads", type=int, default=1, help="trial worker count")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for the trials (default 1 starts none); "
+                             "the rows do not depend on it")
     parser.add_argument("--list", action="store_true", help="list experiments and exit")
     return parser
 

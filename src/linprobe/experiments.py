@@ -28,7 +28,6 @@ from .hashing import (
 )
 from .probing import (
     ProbeTable,
-    _histogram,
     max_run_from_counts,
     near_full_threshold,
     table_size_for,
@@ -92,6 +91,14 @@ class ExperimentConfig:
             raise ValueError("load target must lie in (0, 1)")
         if self.table_trials < 1:
             raise ValueError("table_trials must be at least 1")
+        if self.query_trials < 1:
+            raise ValueError("query_trials must be at least 1")
+        for b in self.b_values:
+            if b < 1:
+                raise ValueError("b values must be at least 1")
+        for level in self.levels:
+            if level < 0:
+                raise ValueError("levels must be non-negative")
         for n in self.n_values:
             if n < 1:
                 raise ValueError("n values must be positive")
@@ -225,9 +232,10 @@ def exp_probe_cost(config: ExperimentConfig, threads: int = 1) -> list[Row]:
 # interval concentration
 
 def _trial_counts(family: str, n: int, t: int, seed: int, stream: int) -> np.ndarray:
-    """Per-slot hash histogram of one trial's keys."""
+    """Per-slot hash histogram of one trial's keys, hashed as one batch."""
     h = make_family(family, t, seed, stream)
-    return _histogram(h, trial_keys(family, n, seed, stream + 1), t)
+    keys = np.array(trial_keys(family, n, seed, stream + 1), dtype=np.uint64)
+    return np.bincount(h.hash_array(keys).astype(np.int64), minlength=t)
 
 
 def _interval_trial(arg):

@@ -119,15 +119,28 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
         if DEFAULT_FIELD.p < 24 * wide:
             raise ValueError("log2(t) + b too wide for the paired construction")
         poly = new_polynomial(5, wide, seed, stream=stream)
-        sig_mask = (1 << b) - 1
-        h = lambda x: poly(x) >> b
-        s = lambda x: poly(x) & sig_mask
-        hs = SignatureFilter(t, b, h, s, mode)
-        return hs
+        return SignatureFilter(t, b, *_split(poly, b), mode)
     # tabulation_paired
     tab = new_tabulation(4, 16, log_t + b, seed, stream=stream)
+    return SignatureFilter(t, b, *_split(tab, b), mode)
+
+
+def _split(wide: Callable[[int], int], b: int) -> tuple[Callable, Callable]:
+    """(h, s) as the high bits and the low b bits of one wide hash.  They
+    share a memo of the last key, so the wide hash is evaluated once per key
+    across s(x), h(x) and any shadow table placing by h."""
+    last = (None, 0)
     sig_mask = (1 << b) - 1
-    return SignatureFilter(t, b, lambda x: tab(x) >> b, lambda x: tab(x) & sig_mask, mode)
+
+    def value(x: int) -> int:
+        nonlocal last
+        key, v = last
+        if key is None or key != x:
+            v = wide(x)
+            last = (x, v)
+        return v
+
+    return (lambda x: value(x) >> b), (lambda x: value(x) & sig_mask)
 
 
 @dataclass(frozen=True)
@@ -143,15 +156,14 @@ class FprReport:
 
 
 def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> list[int]:
-    """`count` distinct uniform keys below `bound` (bound >> count)."""
-    seen: dict[int, None] = {}
-    while len(seen) < count:
-        draw = rng.integers(0, bound, size=count, dtype=np.uint64)
-        for k in draw:
-            seen.setdefault(int(k), None)
-            if len(seen) == count:
-                break
-    return list(seen)
+    """`count` distinct uniform keys below `bound` (bound >> count), in order
+    of first draw; rounds of `count` draws repeat until enough are distinct."""
+    drawn = np.empty(0, dtype=np.uint64)
+    first = np.empty(0, dtype=np.intp)  # first occurrence of each distinct key
+    while len(first) < count:
+        drawn = np.concatenate([drawn, rng.integers(0, bound, size=count, dtype=np.uint64)])
+        first = np.unique(drawn, return_index=True)[1]
+    return drawn[np.sort(first)[:count]].tolist()
 
 
 def measure_fpr(

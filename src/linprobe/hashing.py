@@ -92,6 +92,50 @@ class PrimeField:
 
 DEFAULT_FIELD = PrimeField()
 
+_LOW32 = 0xFFFFFFFF
+_LOW29 = (1 << 29) - 1
+
+
+def _reduce61(x: np.ndarray) -> np.ndarray:
+    """x mod 2^61 - 1 for any uint64 array, using 2^61 = 1 (mod p)."""
+    x = (x & MERSENNE61) + (x >> 61)
+    np.subtract(x, MERSENNE61, out=x, where=x >= MERSENNE61)
+    return x
+
+
+def _mersenne_horner(field: PrimeField, coefficients: tuple[int, ...], keys) -> np.ndarray:
+    """Horner evaluation mod p = 2^61 - 1 at every uint64 key, bit-identical
+    to the scalar path (Thorup, arXiv:1504.06804).
+
+    Keys are reduced mod p first, which is how the scalar arithmetic treats
+    keys >= p.  Every product of residues is split into 32-bit halves and
+    folded with 2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.
+    """
+    if field.p != MERSENNE61:
+        raise ValueError("batch hashing supports only the Mersenne field 2^61 - 1")
+    x = _reduce61(np.asarray(keys, dtype=np.uint64))
+    x_hi, x_lo = x >> 32, x & _LOW32
+    acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
+    for a in reversed(coefficients[:-1]):
+        # acc * x = hh * 2^64 + mid * 2^32 + ll, with hh < 2^58, mid < 2^62, ll < 2^64
+        acc_hi, acc_lo = acc >> 32, acc & _LOW32
+        mid = acc_hi * x_lo
+        mid += acc_lo * x_hi
+        hh = np.multiply(acc_hi, x_hi, out=acc_hi)
+        ll = np.multiply(acc_lo, x_lo, out=acc_lo)
+        # mid * 2^32 = (mid >> 29) * 2^61 + (mid mod 2^29) * 2^32
+        acc = hh << 3
+        acc += mid >> 29
+        mid &= _LOW29
+        mid <<= 32
+        acc += mid
+        acc += ll >> 61
+        ll &= MERSENNE61
+        acc += ll
+        acc += a  # four terms below 2^61 plus ones below 2^34: under 2^64
+        acc = _reduce61(acc)
+    return acc
+
 
 @dataclass(frozen=True)
 class PolynomialHash:
@@ -125,6 +169,10 @@ class PolynomialHash:
 
     def __call__(self, x: int) -> int:
         return self.eval_mod_p(x) & (self.range_t - 1)
+
+    def hash_array(self, keys: np.ndarray) -> np.ndarray:
+        """`__call__` of every uint64 key, as a uint64 array (Mersenne field only)."""
+        return _mersenne_horner(self.field, self.coefficients, keys) & (self.range_t - 1)
 
 
 def new_polynomial(
@@ -165,6 +213,10 @@ class LinearHash:
     def __call__(self, x: int) -> int:
         return self.field.reduce(self.a * x + self.b) & (self.range_t - 1)
 
+    def hash_array(self, keys: np.ndarray) -> np.ndarray:
+        """`__call__` of every uint64 key, as a uint64 array (Mersenne field only)."""
+        return _mersenne_horner(self.field, (self.b, self.a), keys) & (self.range_t - 1)
+
 
 def new_linear(
     t: int, seed: int, *, stream: int = 0, field: PrimeField = DEFAULT_FIELD
@@ -183,6 +235,8 @@ class TabulationHash:
     char_bits: int
     output_bits: int
     tables: tuple[tuple[int, ...], ...] = field(repr=False)
+    # the same tables as one (char_count, 2^char_bits) array, for hash_array
+    _table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.char_count * self.char_bits > 64:
@@ -191,12 +245,16 @@ class TabulationHash:
             raise ValueError("output width exceeds 64 bits")
         if len(self.tables) != self.char_count:
             raise ValueError("need one table per character")
-        limit = 1 << self.output_bits
-        for tbl in self.tables:
-            if len(tbl) != 1 << self.char_bits:
-                raise ValueError("table size must be 2^char_bits")
-            if any(not 0 <= e < limit for e in tbl):
-                raise ValueError("table entry out of output range")
+        if any(len(tbl) != 1 << self.char_bits for tbl in self.tables):
+            raise ValueError("table size must be 2^char_bits")
+        try:
+            table = np.array(self.tables, dtype=np.uint64).reshape(
+                self.char_count, 1 << self.char_bits)
+        except OverflowError:  # an entry below 0 or at least 2^64
+            raise ValueError("table entry out of output range") from None
+        if int(table.max(initial=0)) >> self.output_bits:
+            raise ValueError("table entry out of output range")
+        object.__setattr__(self, "_table", table)
 
     @property
     def range_t(self) -> int:
@@ -208,6 +266,15 @@ class TabulationHash:
         for tbl in self.tables:
             out ^= tbl[x & mask]
             x >>= self.char_bits
+        return out
+
+    def hash_array(self, keys: np.ndarray) -> np.ndarray:
+        """`__call__` of every uint64 key, as a uint64 array."""
+        x = np.asarray(keys, dtype=np.uint64)
+        mask = (1 << self.char_bits) - 1
+        out = np.zeros(x.shape, dtype=np.uint64)
+        for j, row in enumerate(self._table):
+            out ^= row[(x >> (j * self.char_bits)) & mask]
         return out
 
 
@@ -224,7 +291,7 @@ def new_tabulation(
     tables = []
     for _ in range(c):
         words = rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
-        tables.append(tuple(int(w) for w in words))
+        tables.append(tuple(words.tolist()))
     return TabulationHash(
         char_count=c, char_bits=char_bits, output_bits=output_bits, tables=tuple(tables)
     )
@@ -255,6 +322,25 @@ class TrulyRandomHash:
                     v = int(self._rng.integers(0, self.range_t))
                     memo[x] = v
         return v
+
+    def hash_array(self, keys: np.ndarray) -> np.ndarray:
+        """`__call__` of every uint64 key, as a uint64 array.  Keys not yet
+        memoized get one batched draw in order of first occurrence, which
+        equals scalar evaluation in key order."""
+        uniq, first, inverse = np.unique(
+            np.asarray(keys, dtype=np.uint64), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        ks = uniq[order].tolist()  # distinct keys in order of first occurrence
+        with self._lock:
+            memo = self._memo
+            fresh = [k for k in ks if k not in memo]
+            if fresh:
+                drawn = self._rng.integers(0, self.range_t, size=len(fresh))
+                memo.update(zip(fresh, drawn.tolist()))
+            values = np.empty(len(ks), dtype=np.uint64)
+            values[order] = np.fromiter(map(memo.__getitem__, ks), dtype=np.uint64,
+                                        count=len(ks))
+        return values[inverse]
 
 
 ENUMERATION_BUDGET = 10**6

@@ -226,15 +226,11 @@ def max_run_from_counts(counts: np.ndarray) -> int:
     return int(_run_bounds(occupancy(counts))[1].max(initial=0))
 
 
-def _histogram(hash_fn, keys, t: int) -> np.ndarray:
-    """Per-slot count of the keys' hash values, hashed in iteration order."""
-    return np.bincount(np.fromiter(map(hash_fn, keys), dtype=np.int64), minlength=t)
-
-
 def hash_counts(table: ProbeTable) -> np.ndarray:
     """Per-slot histogram of the stored keys' hash values; the analytics
     below take it precomputed to stay linear over many checks."""
-    return _histogram(table.hash_fn, table.keys(), table.t)
+    hashes = np.fromiter(map(table.hash_fn, table.keys()), dtype=np.int64)
+    return np.bincount(hashes, minlength=table.t)
 
 
 def interval_hash_count(
@@ -319,6 +315,7 @@ def check_query_run_lemma(
     if counts is None:
         counts = hash_counts(table)
     own = hq >> level
+    q_stored = table.search(q).found  # q's own hash is not counted in its interval
     threshold = near_full_threshold(level)
     max_index = table.t >> level
     observed = []
@@ -326,7 +323,7 @@ def check_query_run_lemma(
         if not 0 <= idx < max_index:
             continue
         iv = DyadicInterval(level, idx)
-        c = interval_hash_count(table, iv, exclude=q, counts=counts)
+        c = interval_hash_count(table, iv, counts=counts) - (q_stored and idx == own)
         if c >= threshold:
             return None
         observed.append((idx, c))

@@ -220,7 +220,8 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize("bad", [{"out": "x.csv"}, {"families": ["poly7"]},
-                                     {"table_trials": 0}])
+                                     {"table_trials": 0}, {"query_trials": 0},
+                                     {"b_values": [0]}, {"levels": [-1]}])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": "max_run", "n_values": [64], **bad}))

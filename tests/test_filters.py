@@ -12,7 +12,13 @@ from linprobe.filters import (
     scan_keys,
     subsequence_scan_check,
 )
-from linprobe.hashing import TrulyRandomHash, derived_rng
+from linprobe.hashing import (
+    PolynomialHash,
+    TabulationHash,
+    TrulyRandomHash,
+    derived_rng,
+    new_polynomial,
+)
 from linprobe.probing import ProbeTable, TableFullError, table_size_for
 
 
@@ -122,6 +128,15 @@ class TestModes:
             assert 0 <= f.hash_fn(x) < 1 << 6
             assert 0 <= f.sig_fn(x) < 1 << 4
 
+    def test_paired_split_matches_wide_hash(self):
+        f = make_filter(1 << 6, 4, "paired", seed=23)
+        wide = new_polynomial(5, 1 << 10, 23)
+        # repeated and alternating keys: the last-key memo must never go stale
+        for x in (5, 99, 5, 12345, 99, 99, 5):
+            assert f.sig_fn(x) == wide(x) & 15
+            assert f.hash_fn(x) == wide(x) >> 4
+            assert f.hash_fn(x) == wide(x) >> 4
+
 
 class TestMeasureFpr:
     def test_wide_signature_no_false_positives(self):
@@ -149,6 +164,21 @@ class TestMeasureFpr:
         bound = 8 * rep.mean_scan_keys / 2**8
         se = math.sqrt(max(rep.fpr * (1 - rep.fpr), 1e-12) / rep.trials)
         assert rep.fpr <= bound + 3 * se
+
+    @pytest.mark.parametrize("mode,owner,attr", [("paired", PolynomialHash, "eval_mod_p"),
+                                                 ("tabulation_paired", TabulationHash, "__call__")])
+    def test_paired_modes_hash_once_per_key(self, monkeypatch, mode, owner, attr):
+        # signature, filter placement and shadow-table placement share one evaluation
+        original = getattr(owner, attr)
+        calls = []
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(owner, attr, counted)
+        rep = measure_fpr(1 << 9, 8, mode, n=256, trials=1000, seed=36)
+        assert len(calls) == rep.n + rep.trials
 
     def test_hash_of_signature_emits_without_guarantee(self):
         rep = measure_fpr(1 << 9, 8, "hash_of_signature", n=256, trials=10**4, seed=35)

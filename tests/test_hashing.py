@@ -17,6 +17,7 @@ from linprobe.hashing import (
     new_tabulation,
     verify_independence_exact,
 )
+from linprobe.filters import sample_distinct_keys
 
 
 def test_default_field_is_the_mersenne_prime():
@@ -243,3 +244,94 @@ def test_derived_streams_differ():
     a = derived_rng(9, 0).integers(0, 2**32, size=4)
     b = derived_rng(9, 1).integers(0, 2**32, size=4)
     assert not np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# batch kernels: hash_array must equal the scalar __call__ on every uint64 key
+
+P = MERSENNE61
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**60, P - 2, P - 1, P, P + 1, 2**63, 2**64 - 1]
+
+
+def batch_keys(seed):
+    rng = derived_rng(seed, 0)
+    drawn = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
+    return np.concatenate([drawn, np.array(EDGE_KEYS, dtype=np.uint64)])
+
+
+def all_families(t, seed):
+    return [
+        new_polynomial(1, t, seed, stream=0),
+        new_polynomial(2, t, seed, stream=1),
+        new_polynomial(3, t, seed, stream=2),
+        new_polynomial(5, t, seed, stream=3),
+        new_linear(t, seed, stream=4),
+        PolynomialHash(DEFAULT_FIELD, (P - 1,) * 5, t),  # largest residues
+        PolynomialHash(DEFAULT_FIELD, (0, 1), t),  # x mod p: key p must give 0
+        new_tabulation(4, 16, t.bit_length() - 1, seed, stream=5),
+        new_tabulation(4, 16, 64, seed, stream=6),  # full-width output
+        TrulyRandomHash(t, seed, stream=7),
+    ]
+
+
+class TestHashArray:
+    @pytest.mark.parametrize("t", [2, 2**11, 2**17])
+    def test_matches_scalar_call(self, t):
+        keys = batch_keys(t)
+        for h in all_families(t, seed=t):
+            got = h.hash_array(keys)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [h(int(k)) for k in keys], type(h).__name__
+
+    def test_empty_batch(self):
+        for h in all_families(2**11, seed=1):
+            assert h.hash_array(np.empty(0, dtype=np.uint64)).tolist() == []
+
+    @pytest.mark.parametrize("t", [2, 2**11, 2**17])
+    def test_truly_random_scalar_batch_scalar(self, t):
+        keys = batch_keys(t + 1)
+        first, batch, last = keys[:300], keys[200:1200], keys[1000:]
+        batch = np.concatenate([batch, batch[::3], first[:50]])  # repeats within a batch
+        a = TrulyRandomHash(t, seed=5, stream=2)
+        b = TrulyRandomHash(t, seed=5, stream=2)
+        got = [a(int(k)) for k in first] + a.hash_array(batch).tolist()
+        got += [a(int(k)) for k in last]
+        want = [b(int(k)) for k in np.concatenate([first, batch, last])]
+        assert got == want
+
+    def test_non_mersenne_field_rejected(self):
+        field = PrimeField(31)
+        keys = np.arange(10, dtype=np.uint64)
+        with pytest.raises(ValueError):
+            PolynomialHash(field, (1, 2, 3), 4).hash_array(keys)
+        with pytest.raises(ValueError):
+            LinearHash(field, 3, 5, 4).hash_array(keys)
+
+    @pytest.mark.parametrize("entry", [-1, 256, 2**64])
+    def test_tabulation_entry_out_of_range(self, entry):
+        with pytest.raises(ValueError):
+            TabulationHash(char_count=1, char_bits=2, output_bits=8,
+                           tables=((0, 1, 2, entry),))
+
+
+def sample_distinct_keys_loop(rng, count, bound):
+    """The scalar first-occurrence loop that sample_distinct_keys replaced."""
+    seen = {}
+    while len(seen) < count:
+        draw = rng.integers(0, bound, size=count, dtype=np.uint64)
+        for k in draw:
+            seen.setdefault(int(k), None)
+            if len(seen) == count:
+                break
+    return list(seen)
+
+
+@pytest.mark.parametrize("count,bound", [(0, 10), (1, 10), (1, 2), (5, 8), (20, 23),
+                                         (200, 203), (1000, P)])
+def test_sample_distinct_keys_matches_loop(count, bound):
+    for stream in range(5):
+        a, b = derived_rng(11, stream), derived_rng(11, stream)
+        got = sample_distinct_keys(a, count, bound)
+        assert got == sample_distinct_keys_loop(b, count, bound)
+        assert all(type(k) is int for k in got)
+        assert a.integers(0, 2**63) == b.integers(0, 2**63)  # same draws consumed

@@ -264,6 +264,23 @@ class TestRunLemma:
                     if exc.__class__.__name__ != "WrappingRunError":
                         raise
 
+    @pytest.mark.parametrize("q,stored", [(100, False), (3, True)])
+    def test_query_run_lemma_searches_once(self, monkeypatch, q, stored):
+        # a run of 10 keys over slots 16-25, with the near-full interval
+        # (slots 16-17) the 7th or 8th of those scanned
+        table = build(64, {**{x: 16 for x in range(10)}, 3: 18, 100: 20}, range(10))
+        assert table.search(q).found == stored
+        original = ProbeTable.search
+        calls = []
+
+        def counted(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(ProbeTable, "search", counted)
+        assert check_query_run_lemma(table, q, counts=hash_counts(table)) is None
+        assert calls == [q]
+
     def test_absent_probe_bound(self):
         # absent-search probes <= run length at h(q) + 1
         table, _ = random_table(512, 2 / 3, seed=23)
