@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filters import MODES, measure_fpr, sample_distinct_keys
+from .filters import MODES, _check_paired_width, measure_fpr, sample_distinct_keys
 from .hashing import (
     DEFAULT_FIELD,
     TrulyRandomHash,
@@ -105,6 +105,10 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown filter mode {m!r}")
+        if self.experiment == "filter_fpr" and "paired" in self.modes:
+            for n in self.n_values:
+                for b in self.b_values:
+                    _check_paired_width(table_size_for(n, self.load_target), b)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -187,9 +191,7 @@ def _probe_cost_trial(arg):
     h = make_family(family, t, seed, stream)
     keys = trial_keys(family, n, seed, stream + 1)
     table = ProbeTable(t, h)
-    ins = np.empty(n, dtype=np.int64)
-    for i, x in enumerate(keys):
-        ins[i] = table.insert(x)[1]
+    ins = np.array([table.insert(x)[1] for x in keys], dtype=np.int64)
     stored = set(keys)
     rng = derived_rng(seed, stream + 2)
     srch = np.empty(queries, dtype=np.int64)
@@ -206,16 +208,17 @@ def _probe_cost_trial(arg):
 
 def exp_probe_cost(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     """Insert and absent-search probe counts per (family, n): mean and p99
-    pooled over table_trials independently seeded builds."""
+    pooled over table_trials independently seeded builds, which share the
+    query_trials absent searches as evenly as they divide."""
     rows = []
     stream = 0
     for family in config.families:
         for n in config.n_values:
             t = table_size_for(n, config.load_target)
-            per_trial = max(1, config.query_trials // config.table_trials)
+            per_trial, extra = divmod(config.query_trials, config.table_trials)
             args = []
-            for _ in range(config.table_trials):
-                args.append((family, n, t, config.seed, stream, per_trial))
+            for i in range(config.table_trials):
+                args.append((family, n, t, config.seed, stream, per_trial + (i < extra)))
                 stream += 3
             results = _map_trials(_probe_cost_trial, args, threads)
             ins = np.concatenate([r[0] for r in results])

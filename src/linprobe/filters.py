@@ -18,7 +18,7 @@ from .hashing import (
     new_tabulation,
     _is_pow2,
 )
-from .probing import ProbeTable, TableFullError
+from .probing import ProbeTable, TableFullError, _scan
 
 __all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr",
     "sample_distinct_keys", "scan_keys", "subsequence_scan_check"]
@@ -27,32 +27,24 @@ MODES = ("independent", "paired", "hash_of_signature", "tabulation_paired")
 
 
 class SignatureFilter:
-    """Array of t b-bit signatures with out-of-band occupancy marks.
+    """The linear probing scan of `ProbeTable`, storing the b-bit signature
+    s(x) in place of x, from the start slot hash_fn(x).
 
-    Every signature value is legal; a reserved nil-signature would skew
-    the false-positive rate by 2^-b, so occupancy is tracked separately.
-    There is deliberately no delete operation: removing one signature may
-    remove the shared evidence for other keys.
+    Empty slots are None, so every signature value is legal; a reserved
+    nil-signature would skew the false-positive rate by 2^-b.  There is
+    deliberately no delete operation: removing one signature may remove
+    the shared evidence for other keys.
     """
 
-    def __init__(self, t: int, b: int, hash_fn, sig_fn, mode: str = "independent"):
+    def __init__(self, t: int, b: int, hash_fn, sig_fn):
         if not _is_pow2(t):
             raise ValueError(f"filter size {t} must be a nonzero power of two")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
         self.t = t
         self.b = b
         self.hash_fn = hash_fn
         self.sig_fn = sig_fn
-        self.mode = mode
-        self.slots = [0] * t
-        self.occupied = [False] * t
+        self.slots: list[Optional[int]] = [None] * t
         self.n = 0
-
-    def _start(self, x: int) -> int:
-        if self.mode == "hash_of_signature":
-            return self.hash_fn(self.sig_fn(x))
-        return self.hash_fn(x)
 
     def insert(self, x: int) -> bool:
         """Insert x; returns False if x was already positive (its signature
@@ -60,14 +52,10 @@ class SignatureFilter:
         if self.n >= self.t - 1:
             raise TableFullError("cannot insert into a full filter")
         sig = self.sig_fn(x)
-        mask = self.t - 1
-        i = self._start(x)
-        while self.occupied[i]:
-            if self.slots[i] == sig:
-                return False
-            i = (i + 1) & mask
+        found, i, _ = _scan(self.slots, self.t - 1, self.hash_fn(x), sig)
+        if found:
+            return False
         self.slots[i] = sig
-        self.occupied[i] = True
         self.n += 1
         return True
 
@@ -75,13 +63,7 @@ class SignatureFilter:
         """True iff s(q) appears among the signatures scanned from the start
         slot to the first empty slot."""
         sig = self.sig_fn(q)
-        mask = self.t - 1
-        i = self._start(q)
-        while self.occupied[i]:
-            if self.slots[i] == sig:
-                return True
-            i = (i + 1) & mask
-        return False
+        return _scan(self.slots, self.t - 1, self.hash_fn(q), sig)[0]
 
 
 def _universal_signature(b: int, seed: int, stream: int) -> Callable[[int], int]:
@@ -113,16 +95,22 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
     if mode in ("independent", "hash_of_signature"):
         h = new_polynomial(5, t, seed, stream=2 * stream)
         s = _universal_signature(b, seed, 2 * stream + 1)
-        return SignatureFilter(t, b, h, s, mode)
+        start = h if mode == "independent" else (lambda x: h(s(x)))
+        return SignatureFilter(t, b, start, s)
     if mode == "paired":
-        wide = 1 << (log_t + b)
-        if DEFAULT_FIELD.p < 24 * wide:
-            raise ValueError("log2(t) + b too wide for the paired construction")
-        poly = new_polynomial(5, wide, seed, stream=stream)
-        return SignatureFilter(t, b, *_split(poly, b), mode)
+        _check_paired_width(t, b)
+        poly = new_polynomial(5, t << b, seed, stream=stream)
+        return SignatureFilter(t, b, *_split(poly, b))
     # tabulation_paired
     tab = new_tabulation(4, 16, log_t + b, seed, stream=stream)
-    return SignatureFilter(t, b, *_split(tab, b), mode)
+    return SignatureFilter(t, b, *_split(tab, b))
+
+
+def _check_paired_width(t: int, b: int) -> None:
+    """Raise ValueError unless the paired mode's log2(t) + b bit hash fits
+    the polynomial field (p >= 24 * 2^(log2(t) + b))."""
+    if DEFAULT_FIELD.p < 24 * (t << b):
+        raise ValueError(f"log2(t) + b too wide for the paired construction (t={t}, b={b})")
 
 
 def _split(wide: Callable[[int], int], b: int) -> tuple[Callable, Callable]:
@@ -188,7 +176,7 @@ def measure_fpr(
     if trials < 1:
         raise ValueError("need at least one query")
     flt = make_filter(t, b, mode, seed, stream=stream)
-    shadow = ProbeTable(t, flt._start)
+    shadow = ProbeTable(t, flt.hash_fn)
     rng = derived_rng(seed, stream + 1_000_003)
     keys = sample_distinct_keys(rng, n + trials, DEFAULT_FIELD.p)
     stored, queries = keys[:n], keys[n:]

@@ -12,6 +12,7 @@ import itertools
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -226,7 +227,7 @@ def new_linear(
     return LinearHash(field=field, a=a, b=b, range_t=t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulationHash:
     """Simple tabulation: a key is split into c characters (least-significant
     character first) and hashed to the XOR of per-character table lookups."""
@@ -234,27 +235,29 @@ class TabulationHash:
     char_count: int
     char_bits: int
     output_bits: int
-    tables: tuple[tuple[int, ...], ...] = field(repr=False)
-    # the same tables as one (char_count, 2^char_bits) array, for hash_array
-    _table: np.ndarray = field(init=False, repr=False, compare=False)
+    # read-only (char_count, 2^char_bits) uint64 array, one row per character
+    tables: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.char_count * self.char_bits > 64:
             raise ValueError("key width exceeds 64 bits")
         if self.output_bits > 64:
             raise ValueError("output width exceeds 64 bits")
-        if len(self.tables) != self.char_count:
-            raise ValueError("need one table per character")
-        if any(len(tbl) != 1 << self.char_bits for tbl in self.tables):
-            raise ValueError("table size must be 2^char_bits")
         try:
-            table = np.array(self.tables, dtype=np.uint64).reshape(
-                self.char_count, 1 << self.char_bits)
+            tables = np.array(self.tables, dtype=np.uint64)
         except OverflowError:  # an entry below 0 or at least 2^64
             raise ValueError("table entry out of output range") from None
-        if int(table.max(initial=0)) >> self.output_bits:
+        if tables.shape != (self.char_count, 1 << self.char_bits):
+            raise ValueError("need one table of 2^char_bits entries per character")
+        if int(tables.max(initial=0)) >> self.output_bits:
             raise ValueError("table entry out of output range")
-        object.__setattr__(self, "_table", table)
+        tables.flags.writeable = False
+        object.__setattr__(self, "tables", tables)
+
+    @cached_property
+    def _rows(self) -> list[list[int]]:
+        """`tables` as Python ints, for the scalar `__call__`."""
+        return self.tables.tolist()
 
     @property
     def range_t(self) -> int:
@@ -263,8 +266,8 @@ class TabulationHash:
     def __call__(self, x: int) -> int:
         mask = (1 << self.char_bits) - 1
         out = 0
-        for tbl in self.tables:
-            out ^= tbl[x & mask]
+        for row in self._rows:
+            out ^= row[x & mask]
             x >>= self.char_bits
         return out
 
@@ -273,7 +276,7 @@ class TabulationHash:
         x = np.asarray(keys, dtype=np.uint64)
         mask = (1 << self.char_bits) - 1
         out = np.zeros(x.shape, dtype=np.uint64)
-        for j, row in enumerate(self._table):
+        for j, row in enumerate(self.tables):
             out ^= row[(x >> (j * self.char_bits)) & mask]
         return out
 
@@ -288,13 +291,10 @@ def new_tabulation(
         raise ValueError("output width exceeds 64 bits")
     rng = derived_rng(seed, stream)
     size = 1 << char_bits
-    tables = []
-    for _ in range(c):
-        words = rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
-        tables.append(tuple(words.tolist()))
-    return TabulationHash(
-        char_count=c, char_bits=char_bits, output_bits=output_bits, tables=tuple(tables)
-    )
+    tables = np.stack([rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
+                       for _ in range(c)])
+    return TabulationHash(char_count=c, char_bits=char_bits, output_bits=output_bits,
+                          tables=tables)
 
 
 class TrulyRandomHash:

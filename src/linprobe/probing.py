@@ -59,6 +59,25 @@ class TableFullError(RuntimeError):
     pass
 
 
+def _scan(slots: list, mask: int, start: int, item) -> tuple[bool, int, int]:
+    """The linear probing scan: from `start`, step cyclically until a slot
+    holds `item` or is empty (None).
+
+    Returns (found, slot, probes), where slot holds `item` or is the empty
+    slot that ended the scan, and probes count that slot too.  The caller
+    keeps at least one slot empty, so the scan ends.
+    """
+    i, probes = start, 1
+    while True:
+        s = slots[i]
+        if s is None:
+            return False, i, probes
+        if s == item:
+            return True, i, probes
+        i = (i + 1) & mask
+        probes += 1
+
+
 class ProbeTable:
     """Open-addressing hash table with cyclic linear probing.
 
@@ -85,37 +104,22 @@ class ProbeTable:
         """Place x at the first empty slot scanning from h(x).
 
         Returns (position, probes).  Re-inserting a present key leaves
-        the table unchanged and reports the key's position.
+        the table unchanged and reports the key's position.  An insert
+        never fills the last empty slot, so every scan ends.
         """
-        if self.n >= self.t - 1 and not self._present(x):
-            raise TableFullError("cannot insert into a full table")
-        slots, mask = self.slots, self.t - 1
-        i = self.hash_fn(x)
-        probes = 1
-        while slots[i] is not None:
-            if slots[i] == x:
-                return i, probes
-            i = (i + 1) & mask
-            probes += 1
-        slots[i] = x
-        self.n += 1
+        found, i, probes = _scan(self.slots, self.t - 1, self.hash_fn(x), x)
+        if not found:
+            if self.n >= self.t - 1:
+                raise TableFullError("cannot insert into a full table")
+            self.slots[i] = x
+            self.n += 1
         return i, probes
-
-    def _present(self, x: int) -> bool:
-        return self.search(x).found
 
     def search(self, x: int) -> SearchResult:
         """Scan from h(x) until x or an empty slot.  For an absent key the
         scan is identical to the one insert would perform."""
-        slots, mask = self.slots, self.t - 1
-        i = self.hash_fn(x)
-        probes = 1
-        while slots[i] is not None:
-            if slots[i] == x:
-                return SearchResult(True, i, probes)
-            i = (i + 1) & mask
-            probes += 1
-        return SearchResult(False, None, probes)
+        found, i, probes = _scan(self.slots, self.t - 1, self.hash_fn(x), x)
+        return SearchResult(found, i if found else None, probes)
 
     def delete(self, x: int) -> None:
         """Remove x and refill the hole by backward shifting.
@@ -125,11 +129,10 @@ class ProbeTable:
         cyclically outside (hole, current].  Stops at the first empty
         slot; the fill invariant is restored.
         """
-        found = self.search(x)
-        if not found.found:
-            raise KeyError(f"key {x} not in table")
         slots, mask = self.slots, self.t - 1
-        hole = found.position
+        found, hole, _ = _scan(slots, mask, self.hash_fn(x), x)
+        if not found:
+            raise KeyError(f"key {x} not in table")
         j = (hole + 1) & mask
         while slots[j] is not None:
             hy = self.hash_fn(slots[j])

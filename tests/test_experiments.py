@@ -116,6 +116,22 @@ class TestProbeCost:
         means = [r.value for r in rows if r.metric == "search_absent_probes_mean"]
         assert max(means) / min(means) <= 1.5
 
+    @pytest.mark.parametrize("queries,trials", [(5, 20), (200, 3)])
+    def test_runs_exactly_query_trials_searches(self, monkeypatch, queries, trials):
+        searches = []
+        original = ProbeTable.search
+
+        def counted(self, x):
+            searches.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(ProbeTable, "search", counted)
+        cfg = tiny_config("probe_cost", families=("random",), n_values=(64,),
+                          table_trials=trials, query_trials=queries)
+        rows = run_experiment(cfg)
+        assert len(searches) == queries
+        assert any(r.metric == "search_absent_probes_mean" for r in rows)
+
 
 class TestMaxRunFromCounts:
     def test_matches_built_table(self):
@@ -221,12 +237,15 @@ class TestCli:
 
     @pytest.mark.parametrize("bad", [{"out": "x.csv"}, {"families": ["poly7"]},
                                      {"table_trials": 0}, {"query_trials": 0},
-                                     {"b_values": [0]}, {"levels": [-1]}])
+                                     {"b_values": [0]}, {"levels": [-1]},
+                                     {"experiment": "filter_fpr", "b_values": [60],
+                                      "modes": ["paired"]}])
     def test_bad_config_value(self, tmp_path, capsys, bad):
+        experiment = bad.get("experiment", "max_run")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": "max_run", "n_values": [64], **bad}))
+        cfg.write_text(json.dumps({"experiment": experiment, "n_values": [64], **bad}))
         out = tmp_path / "x.csv"
-        rc = cli_main(["--experiment", "max_run", "--config", str(cfg), "--out", str(out)])
+        rc = cli_main(["--experiment", experiment, "--config", str(cfg), "--out", str(out)])
         assert rc == 2 and not out.exists()
         assert "error: bad config" in capsys.readouterr().err
 

@@ -42,14 +42,15 @@ class TestInsertQuery:
     def test_insert_into_empty(self):
         f = fixed_filter(hmap={42: 5})
         assert f.insert(42)
-        assert f.occupied[5] and f.slots[5] == 42 % 7
+        assert [i for i, s in enumerate(f.slots) if s is not None] == [5]
+        assert f.slots[5] == 42 % 7
 
     def test_colliding_signature_is_already_positive(self):
         f = fixed_filter(hmap={1: 5, 2: 5}, smap={1: 9, 2: 9})
         assert f.insert(1)
-        before = (list(f.slots), list(f.occupied))
+        before = list(f.slots)  # empty slots are None
         assert not f.insert(2)
-        assert (list(f.slots), list(f.occupied)) == before
+        assert f.slots == before
 
     def test_no_false_negatives(self):
         f = make_filter(1 << 8, 4, "independent", seed=3)

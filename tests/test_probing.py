@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linprobe.filters import SignatureFilter
 from linprobe.hashing import TrulyRandomHash, derived_rng, new_polynomial
 from linprobe.probing import (
     DyadicInterval,
@@ -324,21 +325,47 @@ class TestOrderIndependence:
 
 @st.composite
 def op_sequences(draw):
+    """A table size t, the hash slot of each key 0..40 (None: truly random
+    hashing) and an operation sequence.  The small tables use a fixed-slot
+    hash, so runs wrap past slot t - 1 and the table fills to n = t - 1."""
+    t = draw(st.sampled_from([4, 8, 64]))
+    slots = None if t == 64 else draw(st.lists(st.integers(0, t - 1), min_size=41,
+                                                max_size=41))
     ops = draw(st.lists(st.tuples(st.sampled_from(["ins", "del", "search"]),
                                   st.integers(0, 40)), max_size=60))
-    return ops
+    return t, slots, ops
 
 
 @given(op_sequences())
-@settings(max_examples=60, deadline=None)
-def test_hypothesis_fill_invariant_and_model(ops):
-    h = TrulyRandomHash(64, seed=91)
-    table = ProbeTable(64, h)
+# all keys start at slot t - 1: the run wraps, the table fills, and an
+# absent key is refused while a present one still re-inserts
+@example((4, [3] * 41, [("ins", 0), ("ins", 1), ("ins", 2), ("ins", 3), ("ins", 1),
+                        ("search", 2), ("search", 3), ("del", 0), ("ins", 3)]))
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_fill_invariant_and_model(case):
+    t, slots, ops = case
+    h = TrulyRandomHash(t, seed=91) if slots is None else FixedHash(t, dict(enumerate(slots)))
+    table = ProbeTable(t, h)
     model = set()
+    # the filter with injective signatures (s = identity) answers exactly;
+    # it has no delete, so its model only grows
+    flt = SignatureFilter(t, 8, h, lambda x: x)
+    flt_model = set()
     for op, x in ops:
-        if op == "ins" and len(model) < 40:
-            table.insert(x)
-            model.add(x)
+        if op == "ins":
+            if x in model or len(model) < t - 1:
+                pos, _ = table.insert(x)
+                assert table.slots[pos] == x
+                model.add(x)
+            else:
+                with pytest.raises(TableFullError):
+                    table.insert(x)
+            if len(flt_model) < t - 1:
+                assert flt.insert(x) == (x not in flt_model)
+                flt_model.add(x)
+            else:
+                with pytest.raises(TableFullError):
+                    flt.insert(x)
         elif op == "del":
             if x in model:
                 table.delete(x)
@@ -348,8 +375,11 @@ def test_hypothesis_fill_invariant_and_model(ops):
                     table.delete(x)
         else:
             assert table.search(x).found == (x in model)
+            assert flt.query(x) == (x in flt_model)
         assert verify_fill_invariant(table) is None
+        assert table.n == len(model) and flt.n == len(flt_model)
     assert set(table.keys()) == model
+    assert {s for s in flt.slots if s is not None} == flt_model
 
 
 @st.composite
