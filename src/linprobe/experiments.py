@@ -28,6 +28,7 @@ from .hashing import (
 )
 from .probing import (
     ProbeTable,
+    interval_counts,
     max_run_from_counts,
     near_full_threshold,
     table_size_for,
@@ -246,10 +247,9 @@ def _interval_trial(arg):
     counts = _trial_counts(family, n, t, seed, stream)
     out = {}
     for level in levels:
-        width = 1 << level
-        if width > t:
+        if (1 << level) > t:
             continue
-        pooled = counts.reshape(-1, width).sum(axis=1)
+        pooled = interval_counts(counts, level)
         out[level] = (int((pooled >= near_full_threshold(level)).sum()), len(pooled))
     return out
 

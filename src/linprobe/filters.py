@@ -12,7 +12,6 @@ import numpy as np
 
 from .hashing import (
     DEFAULT_FIELD,
-    PolynomialHash,
     derived_rng,
     new_polynomial,
     new_tabulation,
@@ -24,6 +23,8 @@ __all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr"
     "sample_distinct_keys", "scan_keys", "subsequence_scan_check"]
 
 MODES = ("independent", "paired", "hash_of_signature", "tabulation_paired")
+
+_NO_KEY = object()  # equal to no key, so a scan for it runs to the first empty slot
 
 
 class SignatureFilter:
@@ -66,25 +67,17 @@ class SignatureFilter:
         return _scan(self.slots, self.t - 1, self.hash_fn(q), sig)[0]
 
 
-def _universal_signature(b: int, seed: int, stream: int) -> Callable[[int], int]:
-    """Universal b-bit signature: degree-1 polynomial mod p, low b bits."""
-    poly = new_polynomial(2, 2, seed, stream=stream)
-    mask = (1 << b) - 1
-
-    def sig(x: int) -> int:
-        return poly.eval_mod_p(x) & mask
-
-    return sig
-
-
 def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> SignatureFilter:
     """Build a filter with (h, s) drawn per the requested mode.
 
-    independent:        5-independent h, universal s, separate seed streams.
-    paired:             one 5-independent value of log2(t)+b bits; h is the
-                        high bits, s the low b bits.
-    hash_of_signature:  like independent, but keys are placed and sought at
-                        h(s(x)) -- the anti-pattern, measured for comparison.
+    Every mode is one placement x -> (start slot, signature):
+
+    independent:        (h(x), s(x)): 5-independent h, universal b-bit s,
+                        separate seed streams.
+    paired:             one 5-independent value of log2(t)+b bits; the start
+                        is the high bits, the signature the low b bits.
+    hash_of_signature:  (h(s(x)), s(x)) -- the anti-pattern, measured for
+                        comparison.
     tabulation_paired:  one simple-tabulation output split the same way.
     """
     if mode not in MODES:
@@ -94,16 +87,24 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
     log_t = t.bit_length() - 1
     if mode in ("independent", "hash_of_signature"):
         h = new_polynomial(5, t, seed, stream=2 * stream)
-        s = _universal_signature(b, seed, 2 * stream + 1)
-        start = h if mode == "independent" else (lambda x: h(s(x)))
-        return SignatureFilter(t, b, start, s)
-    if mode == "paired":
-        _check_paired_width(t, b)
-        poly = new_polynomial(5, t << b, seed, stream=stream)
-        return SignatureFilter(t, b, *_split(poly, b))
-    # tabulation_paired
-    tab = new_tabulation(4, 16, log_t + b, seed, stream=stream)
-    return SignatureFilter(t, b, *_split(tab, b))
+        universal = new_polynomial(2, 2, seed, stream=2 * stream + 1)  # s: its low b bits
+        sig_mask = (1 << b) - 1
+        of_sig = mode == "hash_of_signature"
+
+        def place(x: int) -> tuple[int, int]:
+            sig = universal.eval_mod_p(x) & sig_mask
+            return h(sig if of_sig else x), sig
+    else:
+        if mode == "paired":
+            _check_paired_width(t, b)
+            wide = new_polynomial(5, t << b, seed, stream=stream)
+        else:  # tabulation_paired
+            wide = new_tabulation(4, 16, log_t + b, seed, stream=stream)
+
+        def place(x: int) -> tuple[int, int]:
+            return divmod(wide(x), 1 << b)
+
+    return SignatureFilter(t, b, *_split(place))
 
 
 def _check_paired_width(t: int, b: int) -> None:
@@ -113,22 +114,21 @@ def _check_paired_width(t: int, b: int) -> None:
         raise ValueError(f"log2(t) + b too wide for the paired construction (t={t}, b={b})")
 
 
-def _split(wide: Callable[[int], int], b: int) -> tuple[Callable, Callable]:
-    """(h, s) as the high bits and the low b bits of one wide hash.  They
-    share a memo of the last key, so the wide hash is evaluated once per key
-    across s(x), h(x) and any shadow table placing by h."""
-    last = (None, 0)
-    sig_mask = (1 << b) - 1
+def _split(place: Callable[[int], tuple[int, int]]) -> tuple[Callable, Callable]:
+    """(h, s) as the two halves of one placement x -> (start slot, signature).
+    They share a memo of the last key, so `place` runs once per key across
+    s(x), h(x) and any shadow table placing by h."""
+    last = (None, (0, 0))
 
-    def value(x: int) -> int:
+    def value(x: int) -> tuple[int, int]:
         nonlocal last
         key, v = last
         if key is None or key != x:
-            v = wide(x)
+            v = place(x)
             last = (x, v)
         return v
 
-    return (lambda x: value(x) >> b), (lambda x: value(x) & sig_mask)
+    return (lambda x: value(x)[0]), (lambda x: value(x)[1])
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,9 @@ def measure_fpr(
 def scan_keys(table: ProbeTable, start: int) -> list[int]:
     """Keys encountered scanning cyclically from `start` to the first
     empty slot, in scan order."""
-    out = []
     mask = table.t - 1
-    i = start
-    while table.slots[i] is not None:
-        out.append(table.slots[i])
-        i = (i + 1) & mask
-    return out
+    probes = _scan(table.slots, mask, start, _NO_KEY)[2]
+    return [table.slots[(start + k) & mask] for k in range(probes - 1)]
 
 
 def subsequence_scan_check(

@@ -60,16 +60,23 @@ def exact_fourth_moment(profile: BernoulliProfile) -> float:
     return diag + cross
 
 
-def sum_distribution(profile: BernoulliProfile) -> np.ndarray:
-    """Exact distribution of X = sum X_i as an array of length n+1, built by
-    enumerating all 2^n outcomes.  Limited to n <= ENUM_LIMIT."""
+def _outcomes(profile: BernoulliProfile, x0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Probability and value x0 + X of each of the 2^n outcomes, adding 1
+    per success.  Limited to n <= ENUM_LIMIT."""
     if profile.n > ENUM_LIMIT:
         raise ValueError(f"n = {profile.n} exceeds enumeration limit {ENUM_LIMIT}")
     probs = np.array([1.0])
-    sums = np.array([0])
+    values = np.array([x0])
     for p in profile.probabilities:
         probs = np.concatenate([probs * (1 - p), probs * p])
-        sums = np.concatenate([sums, sums + 1])
+        values = np.concatenate([values, values + 1])
+    return probs, values
+
+
+def sum_distribution(profile: BernoulliProfile) -> np.ndarray:
+    """Exact distribution of X = sum X_i as an array of length n+1, built by
+    enumerating all 2^n outcomes.  Limited to n <= ENUM_LIMIT."""
+    probs, sums = _outcomes(profile, 0)
     dist = np.zeros(profile.n + 1)
     np.add.at(dist, sums, probs)
     return dist
@@ -78,14 +85,7 @@ def sum_distribution(profile: BernoulliProfile) -> np.ndarray:
 def brute_force_moment(profile: BernoulliProfile, k: int) -> float:
     """E[(X - mu)^k] by full 2^n outcome enumeration (n <= ENUM_LIMIT);
     the independent oracle for the closed forms and bounds."""
-    if profile.n > ENUM_LIMIT:
-        raise ValueError(f"n = {profile.n} exceeds enumeration limit {ENUM_LIMIT}")
-    mu = profile.mu
-    probs = np.array([1.0])
-    devs = np.array([-mu])
-    for p in profile.probabilities:
-        probs = np.concatenate([probs * (1 - p), probs * p])
-        devs = np.concatenate([devs, devs + 1])
+    probs, devs = _outcomes(profile, -profile.mu)
     return math.fsum(probs * devs**k)
 
 

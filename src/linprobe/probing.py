@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .hashing import _is_pow2
 
-__all__ = ["DyadicInterval", "ProbeTable", "Run", "TableFullError", "WrappingRunError",
-    "check_query_run_lemma", "check_run_lemma", "hash_counts", "interval_hash_count",
+__all__ = ["ProbeTable", "Run", "TableFullError", "WrappingRunError",
+    "check_query_run_lemma", "check_run_lemma", "hash_counts", "interval_counts",
     "max_run_from_counts", "near_full_threshold", "occupancy", "run_containing", "runs",
     "table_size_for", "verify_fill_invariant"]
 
@@ -28,25 +27,6 @@ class SearchResult(NamedTuple):
 class Run(NamedTuple):
     start: int
     length: int
-
-
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The aligned slot interval [index * 2^level, (index + 1) * 2^level)."""
-
-    level: int
-    index: int
-
-    @property
-    def length(self) -> int:
-        return 1 << self.level
-
-    @property
-    def start(self) -> int:
-        return self.index << self.level
-
-    def __contains__(self, slot: int) -> bool:
-        return self.start <= slot < self.start + self.length
 
 
 def near_full_threshold(level: int) -> int:
@@ -155,13 +135,8 @@ def verify_fill_invariant(table: ProbeTable):
     the first violation."""
     slots, mask = table.slots, table.t - 1
     for pos, x in enumerate(slots):
-        if x is None:
-            continue
-        i = table.hash_fn(x)
-        while i != pos:
-            if slots[i] is None:
-                return x, pos
-            i = (i + 1) & mask
+        if x is not None and _scan(slots, mask, table.hash_fn(x), x)[:2] != (True, pos):
+            return x, pos
     return None
 
 
@@ -236,33 +211,17 @@ def hash_counts(table: ProbeTable) -> np.ndarray:
     return np.bincount(hashes, minlength=table.t)
 
 
-def interval_hash_count(
-    table: ProbeTable,
-    interval: DyadicInterval,
-    exclude: Optional[int] = None,
-    counts: Optional[np.ndarray] = None,
-) -> int:
-    """Number of stored keys hashing into the interval, optionally not
-    counting the key `exclude`."""
-    if counts is None:
-        counts = hash_counts(table)
-    c = int(counts[interval.start : interval.start + interval.length].sum())
-    if exclude is not None and table.search(exclude).found:
-        if table.hash_fn(exclude) in interval:
-            c -= 1
-    return c
+def interval_counts(counts: np.ndarray, level: int) -> np.ndarray:
+    """Entry i is the number of hashes in the aligned interval of slots
+    [i * 2^level, (i + 1) * 2^level), from the per-slot histogram `counts`."""
+    return counts.reshape(-1, 1 << level).sum(axis=1)
 
 
 class WrappingRunError(ValueError):
     """Raised for analytics that are only defined on non-wrapping runs."""
 
 
-def check_run_lemma(
-    table: ProbeTable,
-    run: Run,
-    level: int,
-    counts: Optional[np.ndarray] = None,
-):
+def check_run_lemma(table: ProbeTable, run: Run, level: int, counts: np.ndarray):
     """For a non-wrapping run of length >= 2^(level+2), verify that one of
     the first four level-intervals intersecting it is near-full.
 
@@ -272,17 +231,11 @@ def check_run_lemma(
         raise ValueError(f"run length {run.length} < 2^{level + 2}")
     if run.start + run.length > table.t:
         raise WrappingRunError("run wraps past the last slot")
-    if counts is None:
-        counts = hash_counts(table)
     first = run.start >> level
     threshold = near_full_threshold(level)
-    observed = []
-    for idx in range(first, first + 4):
-        iv = DyadicInterval(level, idx)
-        c = interval_hash_count(table, iv, counts=counts)
-        if c >= threshold:
-            return None
-        observed.append(c)
+    observed = interval_counts(counts[first << level : (first + 4) << level], level).tolist()
+    if max(observed) >= threshold:
+        return None
     return {
         "run": run,
         "level": level,
@@ -292,11 +245,7 @@ def check_run_lemma(
     }
 
 
-def check_query_run_lemma(
-    table: ProbeTable,
-    q: int,
-    counts: Optional[np.ndarray] = None,
-):
+def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
     """For a query key q whose (non-wrapping) run has length r >= 4, with
     level l chosen so r is in [2^(l+2), 2^(l+3)), verify that one of the
     12 l-intervals around the one containing h(q) (8 left, own, 3 right)
@@ -315,26 +264,18 @@ def check_query_run_lemma(
     assert 1 << (level + 2) <= r < 1 << (level + 3)
     if run.start + run.length > table.t:
         raise WrappingRunError("run containing h(q) wraps")
-    if counts is None:
-        counts = hash_counts(table)
     own = hq >> level
-    q_stored = table.search(q).found  # q's own hash is not counted in its interval
+    lo = max(own - 8, 0)
+    window = interval_counts(counts[lo << level : (own + 4) << level], level)
+    window[own - lo] -= table.search(q).found  # q's own hash is not counted
     threshold = near_full_threshold(level)
-    max_index = table.t >> level
-    observed = []
-    for idx in range(own - 8, own + 4):
-        if not 0 <= idx < max_index:
-            continue
-        iv = DyadicInterval(level, idx)
-        c = interval_hash_count(table, iv, counts=counts) - (q_stored and idx == own)
-        if c >= threshold:
-            return None
-        observed.append((idx, c))
+    if window.max() >= threshold:
+        return None
     return {
         "query": q,
         "run_length": r,
         "level": level,
-        "counts": observed,
+        "counts": list(enumerate(window.tolist(), lo)),
         "threshold": threshold,
     }
 

@@ -167,9 +167,13 @@ class TestMeasureFpr:
         assert rep.fpr <= bound + 3 * se
 
     @pytest.mark.parametrize("mode,owner,attr", [("paired", PolynomialHash, "eval_mod_p"),
-                                                 ("tabulation_paired", TabulationHash, "__call__")])
+                                                 ("tabulation_paired", TabulationHash, "__call__"),
+                                                 ("independent", PolynomialHash, "eval_mod_p"),
+                                                 ("hash_of_signature", PolynomialHash, "eval_mod_p")])
     def test_paired_modes_hash_once_per_key(self, monkeypatch, mode, owner, attr):
-        # signature, filter placement and shadow-table placement share one evaluation
+        # signature, filter placement and shadow-table placement share one
+        # placement per key: one wide hash, or one start hash and one signature
+        per_key = 1 if mode in ("paired", "tabulation_paired") else 2
         original = getattr(owner, attr)
         calls = []
 
@@ -179,7 +183,7 @@ class TestMeasureFpr:
 
         monkeypatch.setattr(owner, attr, counted)
         rep = measure_fpr(1 << 9, 8, mode, n=256, trials=1000, seed=36)
-        assert len(calls) == rep.n + rep.trials
+        assert len(calls) == per_key * (rep.n + rep.trials)
 
     def test_hash_of_signature_emits_without_guarantee(self):
         rep = measure_fpr(1 << 9, 8, "hash_of_signature", n=256, trials=10**4, seed=35)

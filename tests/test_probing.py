@@ -7,14 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from linprobe.filters import SignatureFilter
 from linprobe.hashing import TrulyRandomHash, derived_rng, new_polynomial
 from linprobe.probing import (
-    DyadicInterval,
     ProbeTable,
     Run,
     TableFullError,
     check_query_run_lemma,
     check_run_lemma,
     hash_counts,
-    interval_hash_count,
+    interval_counts,
     max_run_from_counts,
     near_full_threshold,
     occupancy,
@@ -214,15 +213,11 @@ class TestRuns:
 class TestIntervalCounts:
     def test_empty(self):
         table = ProbeTable(16, FixedHash(16))
-        assert interval_hash_count(table, DyadicInterval(2, 1)) == 0
+        assert interval_counts(hash_counts(table), 2).tolist() == [0, 0, 0, 0]
 
     def test_counts_hashes_in_interval(self):
         table = build(16, {1: 4, 2: 5, 3: 9}, [1, 2, 3])
-        assert interval_hash_count(table, DyadicInterval(2, 1)) == 2
-
-    def test_exclude_query_key(self):
-        table = build(16, {1: 4, 2: 5, 3: 9}, [1, 2, 3])
-        assert interval_hash_count(table, DyadicInterval(2, 1), exclude=1) == 1
+        assert interval_counts(hash_counts(table), 2).tolist() == [0, 2, 1, 0]
 
     def test_near_full_threshold(self):
         assert near_full_threshold(0) == 1
@@ -233,12 +228,12 @@ class TestIntervalCounts:
 class TestRunLemma:
     def test_minimal_run(self):
         table = build(16, {i: 2 for i in [1, 2, 3, 4]}, [1, 2, 3, 4])
-        assert check_run_lemma(table, runs(table)[0], level=0) is None
+        assert check_run_lemma(table, runs(table)[0], 0, hash_counts(table)) is None
 
     def test_precondition(self):
         table = build(16, {i: 2 for i in [1, 2, 3]}, [1, 2, 3])
         with pytest.raises(ValueError):
-            check_run_lemma(table, runs(table)[0], level=1)
+            check_run_lemma(table, runs(table)[0], 1, hash_counts(table))
 
     def test_monte_carlo_no_counterexamples(self):
         for seed in range(30):
@@ -281,6 +276,20 @@ class TestRunLemma:
         monkeypatch.setattr(ProbeTable, "search", counted)
         assert check_query_run_lemma(table, q, counts=hash_counts(table)) is None
         assert calls == [q]
+
+    def test_query_run_lemma_skips_own_hash(self):
+        # slots 10-13 form a run of 4 (level 0); the only hash in the 12
+        # intervals around h(5) = 11 is 5's own, so no interval is near-full
+        table = ProbeTable(64, FixedHash(64, {5: 11}, default=40))
+        table.slots[10:14] = [1, 5, 2, 3]
+        table.n = 4
+        assert check_query_run_lemma(table, 5, hash_counts(table)) == {
+            "query": 5,
+            "run_length": 4,
+            "level": 0,
+            "counts": [(idx, 0) for idx in range(3, 15)],
+            "threshold": 1,
+        }
 
     def test_absent_probe_bound(self):
         # absent-search probes <= run length at h(q) + 1
@@ -410,6 +419,10 @@ def test_occupancy_matches_built_table(case):
         assert (r.start + r.length) % t not in occupied
         assert run_containing(table, (r.start + r.length - 1) % t) == r.length
     assert max_run_from_counts(counts) == max((r.length for r in rs), default=0)
+    for level in range(t.bit_length()):
+        width = 1 << level
+        oracle = [int(counts[i : i + width].sum()) for i in range(0, t, width)]
+        assert interval_counts(counts, level).tolist() == oracle
 
 
 def test_table_size_for():
