@@ -90,6 +90,11 @@ class ExperimentConfig:
                 raise ValueError(f"unknown hash family {family!r}")
         if not 0 < self.load_target < 1:
             raise ValueError("load target must lie in (0, 1)")
+        for name, values in (("n_values", self.n_values), ("b_values", self.b_values),
+                             ("levels", self.levels), ("table_trials", (self.table_trials,)),
+                             ("query_trials", (self.query_trials,))):
+            if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+                raise ValueError(f"{name} must be integers, got {values!r}")
         if self.table_trials < 1:
             raise ValueError("table_trials must be at least 1")
         if self.query_trials < 1:
@@ -103,6 +108,8 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 1:
                 raise ValueError("n values must be positive")
+            if table_size_for(n, self.load_target) > DEFAULT_FIELD.p // 24:
+                raise ValueError(f"n = {n} needs a table wider than p / 24 slots")
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown filter mode {m!r}")

@@ -24,8 +24,6 @@ __all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr"
 
 MODES = ("independent", "paired", "hash_of_signature", "tabulation_paired")
 
-_NO_KEY = object()  # equal to no key, so a scan for it runs to the first empty slot
-
 
 class SignatureFilter:
     """The linear probing scan of `ProbeTable`, storing the b-bit signature
@@ -205,7 +203,7 @@ def scan_keys(table: ProbeTable, start: int) -> list[int]:
     """Keys encountered scanning cyclically from `start` to the first
     empty slot, in scan order."""
     mask = table.t - 1
-    probes = _scan(table.slots, mask, start, _NO_KEY)[2]
+    probes = _scan(table.slots, mask, start, None)[2]  # a scan for None ends at an empty slot
     return [table.slots[(start + k) & mask] for k in range(probes - 1)]
 
 

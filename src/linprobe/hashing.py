@@ -79,17 +79,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
 
-    def reduce(self, x: int) -> int:
-        # Shift-add folding for the fixed Mersenne prime; plain remainder
-        # for caller-supplied test primes.
-        if self.p == MERSENNE61:
-            x = (x & MERSENNE61) + (x >> 61)
-            x = (x & MERSENNE61) + (x >> 61)
-            if x >= MERSENNE61:
-                x -= MERSENNE61
-            return x
-        return x % self.p
-
 
 DEFAULT_FIELD = PrimeField()
 
@@ -162,10 +151,10 @@ class PolynomialHash:
 
     def eval_mod_p(self, x: int) -> int:
         """Horner evaluation mod p, before range reduction."""
-        p = self.field
+        p = self.field.p
         acc = 0
         for a in reversed(self.coefficients):
-            acc = p.reduce(acc * x + a)
+            acc = (acc * x + a) % p
         return acc
 
     def __call__(self, x: int) -> int:
@@ -212,7 +201,7 @@ class LinearHash:
             raise ValueError("a, b must be residues in [0, p)")
 
     def __call__(self, x: int) -> int:
-        return self.field.reduce(self.a * x + self.b) & (self.range_t - 1)
+        return (self.a * x + self.b) % self.field.p & (self.range_t - 1)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every uint64 key, as a uint64 array (Mersenne field only)."""

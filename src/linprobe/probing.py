@@ -4,7 +4,6 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import NamedTuple, Optional
 
@@ -185,12 +184,18 @@ def runs(table: ProbeTable) -> list[Run]:
 
 
 def _run_at(table: ProbeTable, slot: int) -> Run:
-    """The run covering `slot`, or Run(slot, 0) if the slot is empty."""
-    if table.slots[slot] is None:
+    """The run covering `slot`, or Run(slot, 0) if the slot is empty.
+    Requires at least one empty slot."""
+    if table.n >= table.t:
+        raise TableFullError("a full table has no maximal runs")
+    slots, mask = table.slots, table.t - 1
+    if slots[slot] is None:
         return Run(slot, 0)
-    rs = runs(table)
-    # an occupied slot before the first start lies in the last run, which wraps
-    return rs[bisect.bisect_right(rs, (slot, table.t)) - 1]
+    start = slot
+    while slots[(start - 1) & mask] is not None:
+        start = (start - 1) & mask
+    # a scan for None runs to the first empty slot
+    return Run(start, _scan(slots, mask, start, None)[2] - 1)
 
 
 def run_containing(table: ProbeTable, slot: int) -> int:

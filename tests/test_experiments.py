@@ -239,7 +239,11 @@ class TestCli:
                                      {"table_trials": 0}, {"query_trials": 0},
                                      {"b_values": [0]}, {"levels": [-1]},
                                      {"experiment": "filter_fpr", "b_values": [60],
-                                      "modes": ["paired"]}])
+                                      "modes": ["paired"]},
+                                     {"n_values": [100.5]}, {"n_values": [True]},
+                                     {"table_trials": 2.5},
+                                     {"experiment": "interval_concentration", "levels": [1.5]},
+                                     {"n_values": [1 << 56]}])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         experiment = bad.get("experiment", "max_run")
         cfg = tmp_path / "cfg.json"

@@ -29,13 +29,6 @@ def test_prime_field_rejects_composite():
         PrimeField(2**61 - 2)
 
 
-def test_mersenne_reduce_matches_remainder():
-    rng = derived_rng(5, 0)
-    for x in rng.integers(0, MERSENNE61, size=200, dtype=np.uint64):
-        prod = int(x) * int(x) + 12345
-        assert DEFAULT_FIELD.reduce(prod) == prod % MERSENNE61
-
-
 class TestNewPolynomial:
     def test_deterministic_per_seed(self):
         a = new_polynomial(5, 2**10, seed=77)

@@ -21,6 +21,7 @@ from linprobe.probing import (
     runs,
     table_size_for,
     verify_fill_invariant,
+    _run_at,
 )
 
 
@@ -417,7 +418,9 @@ def test_occupancy_matches_built_table(case):
     for r in rs:
         assert (r.start - 1) % t not in occupied
         assert (r.start + r.length) % t not in occupied
-        assert run_containing(table, (r.start + r.length - 1) % t) == r.length
+    covering = {(r.start + i) % t: r for r in rs for i in range(r.length)}
+    for s in range(t):
+        assert _run_at(table, s) == covering.get(s, Run(s, 0))
     assert max_run_from_counts(counts) == max((r.length for r in rs), default=0)
     for level in range(t.bit_length()):
         width = 1 << level
