@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for the trials (default 1 starts none); "
+                        help="run every trial in one pool of at most min(N, CPUs) worker "
+                             "processes; N >= 1, and the default 1 starts none; "
                              "the rows do not depend on it")
     parser.add_argument("--list", action="store_true", help="list experiments and exit")
     return parser
@@ -60,6 +61,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: --out is required", file=sys.stderr)
         return 2
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
+        return 2
 
     try:
         if args.config:
@@ -71,7 +75,7 @@ def main(argv=None) -> int:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2
 
-    rows = run_experiment(config, threads=max(1, args.threads))
+    rows = run_experiment(config, threads=args.threads)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     try:
         with open(args.out, "w") as fh:

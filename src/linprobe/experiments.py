@@ -8,11 +8,14 @@ output is identical for any worker-pool size.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Optional
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -113,10 +116,9 @@ class ExperimentConfig:
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown filter mode {m!r}")
-        if self.experiment == "filter_fpr" and "paired" in self.modes:
-            for n in self.n_values:
-                for b in self.b_values:
-                    _check_paired_width(table_size_for(n, self.load_target), b)
+        if self.experiment == "filter_fpr":
+            for mode, n, b in itertools.product(self.modes, self.n_values, self.b_values):
+                _check_paired_width(table_size_for(n, self.load_target), b, mode)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -157,45 +159,82 @@ def _fmt_value(v) -> str:
 
 def rows_to_csv(rows: list[Row]) -> str:
     lines = ["experiment,family,n,t,b,seed,metric,value"]
-    for r in rows:
-        b = "" if r.b is None else str(r.b)
-        lines.append(
-            f"{r.experiment},{r.family},{r.n},{r.t},{b},{r.seed},{r.metric},{_fmt_value(r.value)}"
-        )
+    lines += [f"{r.experiment},{r.family},{r.n},{r.t},{'' if r.b is None else r.b},{r.seed},"
+              f"{r.metric},{_fmt_value(r.value)}" for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows: list[Row]) -> str:
-    payload = []
-    for r in rows:
-        payload.append(
-            {
-                "experiment": r.experiment,
-                "family": r.family,
-                "n": r.n,
-                "t": r.t,
-                "b": r.b,
-                "seed": r.seed,
-                "metric": r.metric,
-                # round-trips exactly: 17 significant digits
-                "value": float(f"{float(r.value):.17g}"),
-            }
-        )
+    # value round-trips exactly: 17 significant digits
+    payload = [{**asdict(r), "value": float(f"{float(r.value):.17g}")} for r in rows]
     return json.dumps(payload, indent=1) + "\n"
 
 
-def _map_trials(fn: Callable, args: list, threads: int) -> list:
-    if threads <= 1:
-        return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, args))
+# ---------------------------------------------------------------------------
+# the trial grid
+
+class Cell(NamedTuple):
+    family: str  # hash family, or filter mode
+    n: int
+    t: int
+    b: Optional[int]
+    streams: tuple[int, ...]  # first seed stream of each trial
+
+
+def _cells(config: ExperimentConfig, roles: int) -> list[Cell]:
+    """The experiment's cells in row order.  Trial i of cell c owns the
+    `roles` seed streams from roles * (c * trials + i) on; no other code in
+    this module numbers streams.  filter_fpr runs one trial per (mode, b, n)
+    cell, every other experiment table_trials per (family, n) cell."""
+    if config.experiment == "filter_fpr":
+        grid = [(mode, n, b) for mode in config.modes for b in config.b_values
+                for n in config.n_values]
+        trials = 1
+    else:
+        grid = [(family, n, None) for family in config.families for n in config.n_values]
+        trials = config.table_trials
+    cells = []
+    for c, (family, n, b) in enumerate(grid):
+        t = table_size_for(n, config.load_target)
+        if config.experiment == "interval_concentration":
+            n = (2 * t) // 3  # the table is held at load 2/3
+        cells.append(Cell(family, n, t, b, tuple(roles * (c * trials + i) for i in range(trials))))
+    return cells
+
+
+def _run_grid(config: ExperimentConfig, threads: int, roles: int, trial: Callable,
+              extra: Callable[[Cell, int], tuple] = lambda cell, i: ()):
+    """Yield (cell, trial results) for each cell in row order, where trial i
+    of a cell is trial(family, n, t, seed, stream, *extra(cell, i)).
+
+    Every trial of the run goes through one map.  At threads = 1 it is lazy
+    and in-process, so only one cell's results are alive at a time; above 1
+    it is one worker pool of at most min(threads, CPUs, trials) processes.
+    """
+    cells = _cells(config, roles)
+    jobs = [(cell.family, cell.n, cell.t, config.seed, stream, *extra(cell, i))
+            for cell in cells for i, stream in enumerate(cell.streams)]
+    with ExitStack() as stack:
+        if threads > 1 and jobs:
+            workers = min(threads, os.cpu_count() or 1, len(jobs))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(trial, *zip(*jobs))
+        else:
+            results = itertools.starmap(trial, jobs)
+        for cell in cells:
+            yield cell, list(itertools.islice(results, len(cell.streams)))
+
+
+def _row(config: ExperimentConfig, cell: Cell, metric: str, value,
+         seed: Optional[int] = None) -> Row:
+    return Row(config.experiment, cell.family, cell.n, cell.t, cell.b,
+               config.seed if seed is None else seed, metric, value)
 
 
 # ---------------------------------------------------------------------------
 # probe cost
 
-def _probe_cost_trial(arg):
-    family, n, t, seed, stream, queries = arg
+def _probe_cost_trial(family: str, n: int, t: int, seed: int, stream: int, queries: int):
     h = make_family(family, t, seed, stream)
     keys = trial_keys(family, n, seed, stream + 1)
     table = ProbeTable(t, h)
@@ -218,24 +257,15 @@ def exp_probe_cost(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     """Insert and absent-search probe counts per (family, n): mean and p99
     pooled over table_trials independently seeded builds, which share the
     query_trials absent searches as evenly as they divide."""
+    per_trial, extra = divmod(config.query_trials, config.table_trials)
     rows = []
-    stream = 0
-    for family in config.families:
-        for n in config.n_values:
-            t = table_size_for(n, config.load_target)
-            per_trial, extra = divmod(config.query_trials, config.table_trials)
-            args = []
-            for i in range(config.table_trials):
-                args.append((family, n, t, config.seed, stream, per_trial + (i < extra)))
-                stream += 3
-            results = _map_trials(_probe_cost_trial, args, threads)
-            ins = np.concatenate([r[0] for r in results])
-            srch = np.concatenate([r[1] for r in results])
-            for metric, data in (("insert_probes", ins), ("search_absent_probes", srch)):
-                rows.append(Row(config.experiment, family, n, t, None, config.seed,
-                                f"{metric}_mean", float(data.mean())))
-                rows.append(Row(config.experiment, family, n, t, None, config.seed,
-                                f"{metric}_p99", float(np.percentile(data, 99))))
+    for cell, results in _run_grid(config, threads, 3, _probe_cost_trial,
+                                   lambda cell, i: (per_trial + (i < extra),)):
+        ins = np.concatenate([r[0] for r in results])
+        srch = np.concatenate([r[1] for r in results])
+        for metric, data in (("insert_probes", ins), ("search_absent_probes", srch)):
+            rows.append(_row(config, cell, f"{metric}_mean", float(data.mean())))
+            rows.append(_row(config, cell, f"{metric}_p99", float(np.percentile(data, 99))))
     return rows
 
 
@@ -249,8 +279,7 @@ def _trial_counts(family: str, n: int, t: int, seed: int, stream: int) -> np.nda
     return np.bincount(h.hash_array(keys).astype(np.int64), minlength=t)
 
 
-def _interval_trial(arg):
-    family, n, t, seed, stream, levels = arg
+def _interval_trial(family: str, n: int, t: int, seed: int, stream: int, levels):
     counts = _trial_counts(family, n, t, seed, stream)
     out = {}
     for level in levels:
@@ -270,59 +299,34 @@ def exp_interval_concentration(config: ExperimentConfig, threads: int = 1) -> li
     the pooled estimate is unbiased.
     """
     rows = []
-    stream = 0
-    for family in config.families:
-        for n_req in config.n_values:
-            t = table_size_for(n_req, config.load_target)
-            n = (2 * t) // 3
-            args = []
-            for _ in range(config.table_trials):
-                args.append((family, n, t, config.seed, stream, config.levels))
-                stream += 2
-            results = _map_trials(_interval_trial, args, threads)
-            for level in config.levels:
-                if (1 << level) > t:
-                    continue
-                hits = sum(r[level][0] for r in results)
-                total = sum(r[level][1] for r in results)
-                p_hat = hits / total
-                rows.append(Row(config.experiment, family, n, t, None, config.seed,
-                                f"near_full_prob_l={level}", p_hat))
-                rows.append(Row(config.experiment, family, n, t, None, config.seed,
-                                f"near_full_prob_x4l_l={level}", p_hat * 4**level))
+    for cell, results in _run_grid(config, threads, 2, _interval_trial,
+                                   lambda cell, i: (config.levels,)):
+        for level in config.levels:
+            if (1 << level) > cell.t:
+                continue
+            p_hat = sum(r[level][0] for r in results) / sum(r[level][1] for r in results)
+            rows.append(_row(config, cell, f"near_full_prob_l={level}", p_hat))
+            rows.append(_row(config, cell, f"near_full_prob_x4l_l={level}", p_hat * 4**level))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # max run
 
-def _max_run_trial(arg):
-    return max_run_from_counts(_trial_counts(*arg))
+def _max_run_trial(family: str, n: int, t: int, seed: int, stream: int) -> int:
+    return max_run_from_counts(_trial_counts(family, n, t, seed, stream))
 
 
 def exp_max_run(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     """Max run length per trial, with a pass/fail row against the
     MAX_RUN_SLACK * log2(n) ceiling."""
     rows = []
-    stream = 0
-    for family in config.families:
-        for n in config.n_values:
-            t = table_size_for(n, config.load_target)
-            args = []
-            streams = []
-            for _ in range(config.table_trials):
-                args.append((family, n, t, config.seed, stream))
-                streams.append(stream)
-                stream += 2
-            results = _map_trials(_max_run_trial, args, threads)
-            for s, r in zip(streams, results):
-                rows.append(Row(config.experiment, family, n, t, None,
-                                derived_seed(config.seed, s), "max_run", r))
-            bound = MAX_RUN_SLACK * max(1.0, math.log2(n))
-            rows.append(Row(config.experiment, family, n, t, None, config.seed,
-                            "max_run_overall", max(results)))
-            rows.append(Row(config.experiment, family, n, t, None, config.seed,
-                            "max_run_within_bound", int(max(results) <= bound)))
+    for cell, results in _run_grid(config, threads, 2, _max_run_trial):
+        rows += [_row(config, cell, "max_run", r, derived_seed(config.seed, s))
+                 for s, r in zip(cell.streams, results)]
+        bound = MAX_RUN_SLACK * max(1.0, math.log2(cell.n))
+        rows.append(_row(config, cell, "max_run_overall", max(results)))
+        rows.append(_row(config, cell, "max_run_within_bound", int(max(results) <= bound)))
     return rows
 
 
@@ -332,45 +336,29 @@ def exp_max_run(config: ExperimentConfig, threads: int = 1) -> list[Row]:
 def exp_three_indep(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     """Mean probe cost with 3-independent polynomial hashing, against the
     THREE_INDEP_SLACK * log2(n) ceiling."""
-    cfg = replace(config, families=("poly3",))
-    rows = exp_probe_cost(cfg, threads)
-    out = list(rows)
-    for r in rows:
-        if r.metric == "search_absent_probes_mean":
-            bound = THREE_INDEP_SLACK * max(1.0, math.log2(r.n))
-            out.append(replace(r, metric="mean_probes_within_bound",
-                               value=int(r.value <= bound)))
-    return out
+    rows = exp_probe_cost(replace(config, families=("poly3",)), threads)
+    return rows + [replace(r, metric="mean_probes_within_bound",
+                           value=int(r.value <= THREE_INDEP_SLACK * max(1.0, math.log2(r.n))))
+                   for r in rows if r.metric == "search_absent_probes_mean"]
 
 
 # ---------------------------------------------------------------------------
 # filter FPR
 
-def _filter_trial(arg):
-    mode, b, n, t, trials, seed, stream = arg
+FILTER_STREAM_BLOCK = 1_100_000  # covers measure_fpr's key stream, stream + 1_000_003
+
+
+def _filter_trial(mode: str, n: int, t: int, seed: int, stream: int, b: int, trials: int):
     return measure_fpr(t, b, mode, n, trials, seed, stream=stream)
 
 
 def exp_filter_fpr(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     """False-positive rate and mean exact-scan length per (mode, b, n)."""
     rows = []
-    stream = 0
-    args = []
-    meta = []
-    for mode in config.modes:
-        for b in config.b_values:
-            for n in config.n_values:
-                t = table_size_for(n, config.load_target)
-                args.append((mode, b, n, t, config.query_trials, config.seed, stream))
-                meta.append((mode, b, n, t))
-                stream += 1_100_000
-    reports = _map_trials(_filter_trial, args, threads)
-    for (mode, b, n, t), rep in zip(meta, reports):
-        rows.append(Row(config.experiment, mode, n, t, b, config.seed, "fpr", rep.fpr))
-        rows.append(Row(config.experiment, mode, n, t, b, config.seed,
-                        "false_positives", rep.false_positives))
-        rows.append(Row(config.experiment, mode, n, t, b, config.seed,
-                        "mean_scan_keys", rep.mean_scan_keys))
+    for cell, (rep,) in _run_grid(config, threads, FILTER_STREAM_BLOCK, _filter_trial,
+                                  lambda cell, i: (cell.b, config.query_trials)):
+        rows += [_row(config, cell, metric, getattr(rep, metric))
+                 for metric in ("fpr", "false_positives", "mean_scan_keys")]
     return rows
 
 
@@ -401,6 +389,10 @@ def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[Row]:
+    """The experiment's rows; `threads` worker processes at most (1 starts
+    none), and the rows do not depend on it."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     try:
         fn = EXPERIMENTS[config.experiment]
     except KeyError:

@@ -93,8 +93,8 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
             sig = universal.eval_mod_p(x) & sig_mask
             return h(sig if of_sig else x), sig
     else:
+        _check_paired_width(t, b, mode)
         if mode == "paired":
-            _check_paired_width(t, b)
             wide = new_polynomial(5, t << b, seed, stream=stream)
         else:  # tabulation_paired
             wide = new_tabulation(4, 16, log_t + b, seed, stream=stream)
@@ -105,11 +105,13 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
     return SignatureFilter(t, b, *_split(place))
 
 
-def _check_paired_width(t: int, b: int) -> None:
-    """Raise ValueError unless the paired mode's log2(t) + b bit hash fits
-    the polynomial field (p >= 24 * 2^(log2(t) + b))."""
-    if DEFAULT_FIELD.p < 24 * (t << b):
-        raise ValueError(f"log2(t) + b too wide for the paired construction (t={t}, b={b})")
+def _check_paired_width(t: int, b: int, mode: str) -> None:
+    """Raise ValueError unless a paired mode's log2(t) + b bit hash fits its
+    family: the polynomial field for `paired` (p >= 24 * 2^(log2(t) + b)),
+    64 bits for `tabulation_paired`.  Other modes draw no joint hash."""
+    if (mode == "paired" and DEFAULT_FIELD.p < 24 * (t << b)
+            or mode == "tabulation_paired" and t << b > 1 << 64):
+        raise ValueError(f"log2(t) + b too wide for the {mode} construction (t={t}, b={b})")
 
 
 def _split(place: Callable[[int], tuple[int, int]]) -> tuple[Callable, Callable]:

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import types
 from dataclasses import replace
 
 import pytest
 
 import linprobe
+from linprobe import experiments
 from linprobe.cli import main as cli_main
 from linprobe.experiments import (
     EXPERIMENTS,
@@ -133,6 +135,57 @@ class TestProbeCost:
         assert any(r.metric == "search_absent_probes_mean" for r in rows)
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and maps
+    in-process, so no worker is ever started."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+class TestWorkerPool:
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+                            lambda max_workers: RecordingPool(made, max_workers))
+        return made
+
+    def config(self, experiment="probe_cost"):
+        return tiny_config(experiment, families=("poly5", "random"), n_values=(64, 128),
+                           table_trials=2, query_trials=50)
+
+    @pytest.mark.parametrize("experiment", ["probe_cost", "filter_fpr"])
+    def test_one_pool_per_run(self, made, experiment):
+        rows = run_experiment(self.config(experiment), threads=2)
+        assert made == [2]
+        assert rows_to_csv(rows) == rows_to_csv(run_experiment(self.config(experiment)))
+
+    def test_no_pool_at_one_thread(self, made):
+        run_experiment(self.config(), threads=1)
+        assert made == []
+
+    def test_pool_capped_at_cpus_and_trials(self, made):
+        run_experiment(self.config(), threads=10**6)
+        # 2 families x 2 sizes x 2 table trials
+        assert len(made) == 1 and 1 <= made[0] <= min(os.cpu_count() or 1, 8)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, made, threads):
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(self.config(), threads=threads)
+        assert made == []
+
+
 class TestMaxRunFromCounts:
     def test_matches_built_table(self):
         for seed in range(20):
@@ -243,7 +296,9 @@ class TestCli:
                                      {"n_values": [100.5]}, {"n_values": [True]},
                                      {"table_trials": 2.5},
                                      {"experiment": "interval_concentration", "levels": [1.5]},
-                                     {"n_values": [1 << 56]}])
+                                     {"n_values": [1 << 56]},
+                                     {"experiment": "filter_fpr", "b_values": [64],
+                                      "modes": ["tabulation_paired"], "query_trials": 10}])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         experiment = bad.get("experiment", "max_run")
         cfg = tmp_path / "cfg.json"
@@ -275,6 +330,13 @@ class TestCli:
             assert rc == 0
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, tmp_path, capsys, threads):
+        out = tmp_path / "x.csv"
+        rc = cli_main(["--experiment", "max_run", "--out", str(out), "--threads", threads])
+        assert rc == 2 and not out.exists()
+        assert "--threads must be at least 1" in capsys.readouterr().err
 
     def test_json_format(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -121,6 +121,11 @@ class TestModes:
         with pytest.raises(ValueError):
             make_filter(1 << 50, 12, "paired", seed=0)
 
+    def test_tabulation_paired_width_guard(self):
+        make_filter(1 << 6, 58, "tabulation_paired", seed=0)  # 6 + 58 = 64 bits fits
+        with pytest.raises(ValueError, match="too wide for the tabulation_paired"):
+            make_filter(1 << 6, 59, "tabulation_paired", seed=0)
+
     def test_paired_splits_one_output(self):
         f = make_filter(1 << 6, 4, "paired", seed=23)
         # h and s come from one drawn value: both deterministic per key

@@ -6,6 +6,7 @@ import hashlib
 
 import pytest
 
+from linprobe.cli import main as cli_main
 from linprobe.experiments import ExperimentConfig, rows_to_csv, run_experiment
 
 SMALL = {
@@ -34,8 +35,30 @@ PINS = {
 }
 
 
-@pytest.mark.parametrize("experiment,seed", sorted(PINS))
-def test_csv_bytes_pinned(experiment, seed):
+# the sha256 of the default-config CSV (`linprobe --experiment E --seed S`)
+DEFAULT_PINS = {
+    ("max_run", 0): "f9255d8d4ff0ea94b79c75fc1fed11c7bd63bae2151ce178f8e29944fc7c51c6",
+    ("max_run", 42): "cf32c4d649c8d2fd3c57f1f3566579e2677532571ed902fb83bde277011488c6",
+    ("interval_concentration", 0):
+        "c7719f09d41bc5781af5f197739fb03e46c1d378200c5b72e8f9b080940c8ce3",
+    ("interval_concentration", 42):
+        "d5caa2e1aea815e1c4b1819677e209f3df911e27678d732d893950a84c98ac67",
+}
+
+
+# threads = 2 sends every multi-cell config through the worker pool
+@pytest.mark.parametrize("experiment,seed,threads", [
+    pytest.param(e, s, threads, id=f"{e}-{s}" + ("" if threads == 1 else f"-threads{threads}"))
+    for threads in (1, 2) for e, s in sorted(PINS)])
+def test_csv_bytes_pinned(experiment, seed, threads):
     config = ExperimentConfig(experiment=experiment, seed=seed, **SMALL[experiment])
-    digest = hashlib.sha256(rows_to_csv(run_experiment(config)).encode()).hexdigest()
+    digest = hashlib.sha256(rows_to_csv(run_experiment(config, threads)).encode()).hexdigest()
     assert digest == PINS[experiment, seed]
+
+
+@pytest.mark.parametrize("experiment,seed", sorted(DEFAULT_PINS))
+def test_default_cli_bytes_pinned(tmp_path, experiment, seed):
+    out = tmp_path / "rows.csv"
+    assert cli_main(["--experiment", experiment, "--seed", str(seed), "--out", str(out),
+                     "--threads", "2"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_PINS[experiment, seed]
