@@ -237,19 +237,21 @@ def _row(config: ExperimentConfig, cell: Cell, metric: str, value,
 def _probe_cost_trial(family: str, n: int, t: int, seed: int, stream: int, queries: int):
     h = make_family(family, t, seed, stream)
     keys = trial_keys(family, n, seed, stream + 1)
-    table = ProbeTable(t, h)
-    ins = np.array([table.insert(x)[1] for x in keys], dtype=np.int64)
     stored = set(keys)
     rng = derived_rng(seed, stream + 2)
-    srch = np.empty(queries, dtype=np.int64)
-    got = 0
-    while got < queries:
-        for q in rng.integers(0, DEFAULT_FIELD.p, size=queries - got, dtype=np.uint64):
-            q = int(q)
-            if q in stored:
-                continue
-            srch[got] = table.search(q).probes
-            got += 1
+    absent = []
+    while len(absent) < queries:
+        drawn = rng.integers(0, DEFAULT_FIELD.p, size=queries - len(absent), dtype=np.uint64)
+        absent += [q for q in drawn.tolist() if q not in stored]
+    # keys, then queries, in one batch: the random family draws in the order
+    # a scalar insert-then-search loop would.  The slots are converted to
+    # ints one at a time; the inserts take the first len(keys) of them (zip
+    # stops at the end of keys before it reads `starts`), the searches the rest.
+    starts = map(int, h.hash_array(np.array(keys + absent, dtype=np.uint64)))
+    table = ProbeTable(t, h)
+    ins = np.array([table.insert(x, s)[1] for x, s in zip(keys, starts)], dtype=np.int64)
+    srch = np.array([table.search(q, s).probes for q, s in zip(absent, starts)],
+                    dtype=np.int64)
     return ins, srch
 
 

@@ -16,8 +16,9 @@ from .hashing import (
     new_polynomial,
     new_tabulation,
     _is_pow2,
+    _mersenne_horner,
 )
-from .probing import ProbeTable, TableFullError, _scan
+from .probing import ProbeTable, TableFullError, _scan, _scan_found
 
 __all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr",
     "sample_distinct_keys", "scan_keys", "subsequence_scan_check"]
@@ -45,13 +46,14 @@ class SignatureFilter:
         self.slots: list[Optional[int]] = [None] * t
         self.n = 0
 
-    def insert(self, x: int) -> bool:
+    def insert(self, x: int, placed: Optional[tuple[int, int]] = None) -> bool:
         """Insert x; returns False if x was already positive (its signature
-        occurs on the scan path), in which case nothing is written."""
+        occurs on the scan path), in which case nothing is written.
+        `placed` is (h(x), s(x)) precomputed, else both are evaluated."""
         if self.n >= self.t - 1:
             raise TableFullError("cannot insert into a full filter")
-        sig = self.sig_fn(x)
-        found, i, _ = _scan(self.slots, self.t - 1, self.hash_fn(x), sig)
+        start, sig = (self.hash_fn(x), self.sig_fn(x)) if placed is None else placed
+        found, i, _ = _scan(self.slots, self.t - 1, start, sig)
         if found:
             return False
         self.slots[i] = sig
@@ -78,20 +80,30 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
                         comparison.
     tabulation_paired:  one simple-tabulation output split the same way.
     """
+    return SignatureFilter(t, b, *_split(_placement(t, b, mode, seed, stream)[0]))
+
+
+def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Callable, Callable]:
+    """The mode's placement x -> (start slot, signature), and its batch form:
+    a uint64 key array -> (starts, signatures) uint64 arrays, equal key by key."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not _is_pow2(t):
         raise ValueError(f"filter size {t} must be a nonzero power of two")
     log_t = t.bit_length() - 1
+    sig_mask = (1 << b) - 1
     if mode in ("independent", "hash_of_signature"):
         h = new_polynomial(5, t, seed, stream=2 * stream)
         universal = new_polynomial(2, 2, seed, stream=2 * stream + 1)  # s: its low b bits
-        sig_mask = (1 << b) - 1
         of_sig = mode == "hash_of_signature"
 
         def place(x: int) -> tuple[int, int]:
             sig = universal.eval_mod_p(x) & sig_mask
             return h(sig if of_sig else x), sig
+
+        def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            sigs = _mersenne_horner(universal.field, universal.coefficients, keys) & sig_mask
+            return h.hash_array(sigs if of_sig else keys), sigs
     else:
         _check_paired_width(t, b, mode)
         if mode == "paired":
@@ -102,7 +114,11 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
         def place(x: int) -> tuple[int, int]:
             return divmod(wide(x), 1 << b)
 
-    return SignatureFilter(t, b, *_split(place))
+        def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            value = wide.hash_array(keys)
+            return value >> b, value & sig_mask
+
+    return place, place_array
 
 
 def _check_paired_width(t: int, b: int, mode: str) -> None:
@@ -175,20 +191,18 @@ def measure_fpr(
         raise ValueError("filter must keep at least one empty slot")
     if trials < 1:
         raise ValueError("need at least one query")
-    flt = make_filter(t, b, mode, seed, stream=stream)
+    place, place_array = _placement(t, b, mode, seed, stream)
+    flt = SignatureFilter(t, b, *_split(place))
     shadow = ProbeTable(t, flt.hash_fn)
     rng = derived_rng(seed, stream + 1_000_003)
     keys = sample_distinct_keys(rng, n + trials, DEFAULT_FIELD.p)
-    stored, queries = keys[:n], keys[n:]
-    for x in stored:
-        flt.insert(x)
-        shadow.insert(x)
-    false_pos = 0
-    scan_total = 0
-    for q in queries:
-        if flt.query(q):
-            false_pos += 1
-        scan_total += shadow.search(q).probes - 1
+    starts, sigs = place_array(np.array(keys, dtype=np.uint64))  # every key in one batch
+    for x, start, sig in zip(keys[:n], starts[:n].tolist(), sigs[:n].tolist()):
+        flt.insert(x, (start, sig))
+        shadow.insert(x, start)
+    false_pos = int(_scan_found(flt.slots, starts[n:], sigs[n:]).sum())
+    scan_total = sum(shadow.search(q, start).probes - 1
+                     for q, start in zip(keys[n:], starts[n:].tolist()))
     return FprReport(
         mode=mode,
         b=b,

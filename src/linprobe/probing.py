@@ -57,6 +57,27 @@ def _scan(slots: list, mask: int, start: int, item) -> tuple[bool, int, int]:
         probes += 1
 
 
+def _scan_found(slots: list, starts: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """`_scan(slots, mask, start, item)[0]` for every start and uint64 item,
+    as one numpy loop over scan offsets k: a pair still scans at offset k
+    while k is below the distance from its start to the next empty slot."""
+    t = len(slots)
+    values = np.array([0 if s is None else s for s in slots], dtype=np.uint64)
+    empty = np.flatnonzero([s is None for s in slots])
+    slot = np.arange(t)
+    to_empty = np.append(empty, empty[0] + t)[np.searchsorted(empty, slot)] - slot
+    starts = np.asarray(starts, dtype=np.intp)
+    length = to_empty[starts]
+    found = np.zeros(len(starts), dtype=bool)
+    live, k = np.flatnonzero(length), 0
+    while len(live):
+        hit = values[(starts[live] + k) & (t - 1)] == items[live]
+        found[live[hit]] = True
+        k += 1
+        live = live[~hit & (length[live] > k)]
+    return found
+
+
 class ProbeTable:
     """Open-addressing hash table with cyclic linear probing.
 
@@ -79,14 +100,17 @@ class ProbeTable:
     def keys(self):
         return (x for x in self.slots if x is not None)
 
-    def insert(self, x: int) -> tuple[int, int]:
-        """Place x at the first empty slot scanning from h(x).
+    def insert(self, x: int, start: Optional[int] = None) -> tuple[int, int]:
+        """Place x at the first empty slot scanning from h(x); `start` is
+        h(x) precomputed, else hash_fn(x) is evaluated.
 
         Returns (position, probes).  Re-inserting a present key leaves
         the table unchanged and reports the key's position.  An insert
         never fills the last empty slot, so every scan ends.
         """
-        found, i, probes = _scan(self.slots, self.t - 1, self.hash_fn(x), x)
+        if start is None:
+            start = self.hash_fn(x)
+        found, i, probes = _scan(self.slots, self.t - 1, start, x)
         if not found:
             if self.n >= self.t - 1:
                 raise TableFullError("cannot insert into a full table")
@@ -94,10 +118,13 @@ class ProbeTable:
             self.n += 1
         return i, probes
 
-    def search(self, x: int) -> SearchResult:
-        """Scan from h(x) until x or an empty slot.  For an absent key the
-        scan is identical to the one insert would perform."""
-        found, i, probes = _scan(self.slots, self.t - 1, self.hash_fn(x), x)
+    def search(self, x: int, start: Optional[int] = None) -> SearchResult:
+        """Scan from h(x) until x or an empty slot; `start` is h(x)
+        precomputed, as for insert.  For an absent key the scan is identical
+        to the one insert would perform."""
+        if start is None:
+            start = self.hash_fn(x)
+        found, i, probes = _scan(self.slots, self.t - 1, start, x)
         return SearchResult(found, i if found else None, probes)
 
     def delete(self, x: int) -> None:

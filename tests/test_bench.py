@@ -1,0 +1,24 @@
+"""The benchmark's traced self-test as a tier-1 test.  A traced run counts
+the probes of every ProbeTable.insert and search span and checks them
+against the probe sums the rows state, so the experiments must keep every
+insert and absent search on ProbeTable, with exact probe counts."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["probe_cost", "filter_fpr"])
+def test_traced_self_test_passes(workload):
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
+                           "--seconds", "1", "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0

@@ -123,9 +123,9 @@ class TestProbeCost:
         searches = []
         original = ProbeTable.search
 
-        def counted(self, x):
+        def counted(self, x, *args):
             searches.append(x)
-            return original(self, x)
+            return original(self, x, *args)
 
         monkeypatch.setattr(ProbeTable, "search", counted)
         cfg = tiny_config("probe_cost", families=("random",), n_values=(64,),
@@ -133,6 +133,32 @@ class TestProbeCost:
         rows = run_experiment(cfg)
         assert len(searches) == queries
         assert any(r.metric == "search_absent_probes_mean" for r in rows)
+
+
+def scalar_probe_cost_trial(family, n, t, seed, stream, queries):
+    """The per-key reference: each key hashed by the table on insert, each
+    absent query drawn, hashed and searched in turn."""
+    h = make_family(family, t, seed, stream)
+    keys = experiments.trial_keys(family, n, seed, stream + 1)
+    table = ProbeTable(t, h)
+    ins = [table.insert(x)[1] for x in keys]
+    stored = set(keys)
+    rng = derived_rng(seed, stream + 2)
+    srch = []
+    while len(srch) < queries:
+        for q in rng.integers(0, 2**61 - 1, size=queries - len(srch), dtype=np.uint64):
+            if int(q) not in stored:
+                srch.append(table.search(int(q)).probes)
+    return ins, srch
+
+
+# each side draws its own hash function: the random family's draw order is
+# part of what is compared
+@pytest.mark.parametrize("family", experiments.FAMILIES + experiments.SEQ_FAMILIES)
+@pytest.mark.parametrize("n,t", [(3, 4), (200, 256), (700, 1024)])
+def test_probe_cost_trial_matches_scalar_build(family, n, t):
+    ins, srch = experiments._probe_cost_trial(family, n, t, 7, 3, 300)
+    assert (ins.tolist(), srch.tolist()) == scalar_probe_cost_trial(family, n, t, 7, 3, 300)
 
 
 class RecordingPool:

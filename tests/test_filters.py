@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linprobe import filters, hashing
 from linprobe.filters import (
     MODES,
     SignatureFilter,
@@ -11,6 +13,7 @@ from linprobe.filters import (
     sample_distinct_keys,
     scan_keys,
     subsequence_scan_check,
+    _placement,
 )
 from linprobe.hashing import (
     PolynomialHash,
@@ -144,6 +147,49 @@ class TestModes:
             assert f.hash_fn(x) == wide(x) >> 4
 
 
+P = 2**61 - 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("t,b", [(4, 1), (64, 8), (1 << 10, 12), (1 << 6, 50)])
+def test_batch_placement_matches_scalar(mode, t, b):
+    place, place_array = _placement(t, b, mode, seed=61, stream=3)
+    keys = np.concatenate([derived_rng(62, 0).integers(0, 2**64, size=2000, dtype=np.uint64),
+                           np.array([0, 1, 2**32, P - 1, 2**63], dtype=np.uint64)])
+    starts, sigs = place_array(keys)
+    assert starts.dtype == sigs.dtype == np.uint64
+    assert list(zip(starts.tolist(), sigs.tolist())) == [place(k) for k in keys.tolist()]
+
+
+def scalar_fpr(t, b, mode, n, trials, seed, stream):
+    """measure_fpr's keys through the scalar reference: make_filter,
+    SignatureFilter.insert/query, and an exact table on the filter's start hash."""
+    flt = make_filter(t, b, mode, seed, stream=stream)
+    shadow = ProbeTable(t, flt.hash_fn)
+    keys = sample_distinct_keys(derived_rng(seed, stream + 1_000_003), n + trials, P)
+    for x in keys[:n]:
+        flt.insert(x)
+        shadow.insert(x)
+    queries = keys[n:]
+    return (sum(flt.query(q) for q in queries),
+            sum(shadow.search(q).probes - 1 for q in queries) / trials)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("t,b", [(t, b) for t in (4, 8, 64) for b in (1, 4, 8)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_measure_fpr_matches_scalar_rebuild(mode, t, b, data):
+    # small filters, often full but one slot, so that scans wrap past t - 1
+    n = data.draw(st.just(t - 1) | st.integers(0, t - 1), label="n")
+    trials = data.draw(st.integers(1, 300), label="trials")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    stream = data.draw(st.integers(0, 50), label="stream")
+    rep = measure_fpr(t, b, mode, n, trials, seed, stream=stream)
+    assert (rep.false_positives, rep.mean_scan_keys) == scalar_fpr(t, b, mode, n, trials, seed,
+                                                                   stream)
+
+
 class TestMeasureFpr:
     def test_wide_signature_no_false_positives(self):
         rep = measure_fpr(1 << 11, 64, "independent", n=1 << 10, trials=10**4, seed=31)
@@ -177,18 +223,32 @@ class TestMeasureFpr:
                                                  ("hash_of_signature", PolynomialHash, "eval_mod_p")])
     def test_paired_modes_hash_once_per_key(self, monkeypatch, mode, owner, attr):
         # signature, filter placement and shadow-table placement share one
-        # placement per key: one wide hash, or one start hash and one signature
+        # batch placement per key: one wide hash, or one start hash and one
+        # signature; the mode's scalar hash (owner.attr) is never called
         per_key = 1 if mode in ("paired", "tabulation_paired") else 2
-        original = getattr(owner, attr)
-        calls = []
+        batched, scalar = [], []
+        horner, tab_array, original = (hashing._mersenne_horner, TabulationHash.hash_array,
+                                       getattr(owner, attr))
 
-        def counted(self, x):
-            calls.append(x)
+        def counted_horner(field, coefficients, keys):
+            batched.extend(keys)
+            return horner(field, coefficients, keys)
+
+        def counted_tab_array(self, keys):
+            batched.extend(keys)
+            return tab_array(self, keys)
+
+        def counted_scalar(self, x):
+            scalar.append(x)
             return original(self, x)
 
-        monkeypatch.setattr(owner, attr, counted)
+        monkeypatch.setattr(hashing, "_mersenne_horner", counted_horner)
+        monkeypatch.setattr(filters, "_mersenne_horner", counted_horner)
+        monkeypatch.setattr(TabulationHash, "hash_array", counted_tab_array)
+        monkeypatch.setattr(owner, attr, counted_scalar)
         rep = measure_fpr(1 << 9, 8, mode, n=256, trials=1000, seed=36)
-        assert len(calls) == per_key * (rep.n + rep.trials)
+        assert len(batched) == per_key * (rep.n + rep.trials)
+        assert scalar == []
 
     def test_hash_of_signature_emits_without_guarantee(self):
         rep = measure_fpr(1 << 9, 8, "hash_of_signature", n=256, trials=10**4, seed=35)

@@ -43,6 +43,8 @@ DEFAULT_PINS = {
         "c7719f09d41bc5781af5f197739fb03e46c1d378200c5b72e8f9b080940c8ce3",
     ("interval_concentration", 42):
         "d5caa2e1aea815e1c4b1819677e209f3df911e27678d732d893950a84c98ac67",
+    ("three_indep", 0): "5f45e1ce70aadb0ac538a57ace6996fb7a89527479bfd0030371fda30f4f0ada",
+    ("three_indep", 42): "0a69c0b481f74486f1343d9336ce6f6d6fffcee16fb3648b6d9c4d40bc8a9a32",
 }
 
 

@@ -22,6 +22,8 @@ from linprobe.probing import (
     table_size_for,
     verify_fill_invariant,
     _run_at,
+    _scan,
+    _scan_found,
 )
 
 
@@ -426,6 +428,30 @@ def test_occupancy_matches_built_table(case):
         width = 1 << level
         oracle = [int(counts[i : i + width].sum()) for i in range(0, t, width)]
         assert interval_counts(counts, level).tolist() == oracle
+
+
+@st.composite
+def scan_cases(draw):
+    """A slot list with at least one empty slot, and (start, item) pairs;
+    starts at t - 1 and t - 2 scan past the end of the table."""
+    t = 1 << draw(st.integers(0, 6))
+    values = st.sampled_from([0, 1, 2**63, 2**64 - 1]) | st.integers(0, 7)
+    slots = draw(st.lists(st.none() | values, min_size=t, max_size=t))
+    slots[draw(st.integers(0, t - 1))] = None
+    starts = st.sampled_from([t - 1, max(t - 2, 0)]) | st.integers(0, t - 1)
+    return slots, draw(st.lists(st.tuples(starts, values), max_size=20))
+
+
+@given(scan_cases())
+# found after wrapping, found at the start, absent, and a start on the empty slot
+@example(([5, 6, None, 7], [(3, 6), (3, 7), (3, 9), (2, 5)]))
+@settings(max_examples=300, deadline=None)
+def test_scan_found_matches_scan(case):
+    slots, pairs = case
+    starts = np.array([s for s, _ in pairs], dtype=np.intp)
+    items = np.array([x for _, x in pairs], dtype=np.uint64)
+    expected = [_scan(slots, len(slots) - 1, s, x)[0] for s, x in pairs]
+    assert _scan_found(slots, starts, items).tolist() == expected
 
 
 def test_table_size_for():
