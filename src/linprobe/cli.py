@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--experiment", help="experiment name (see --list)")
     parser.add_argument("--config", help="JSON config file; defaults are used if omitted")
-    parser.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
+    parser.add_argument("--seed", type=int,
+                        help="root seed (default: the config file's seed, else 0)")
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--threads", type=int, default=1,
@@ -66,11 +67,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        seed = {} if args.seed is None else {"seed": args.seed}
         if args.config:
-            config = ExperimentConfig.from_json(args.config, experiment=args.experiment,
-                                                seed=args.seed)
+            config = ExperimentConfig.from_json(args.config, experiment=args.experiment, **seed)
         else:
-            config = default_config(args.experiment, seed=args.seed)
+            config = default_config(args.experiment, **seed)
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2

@@ -95,9 +95,11 @@ class ExperimentConfig:
             raise ValueError("load target must lie in (0, 1)")
         for name, values in (("n_values", self.n_values), ("b_values", self.b_values),
                              ("levels", self.levels), ("table_trials", (self.table_trials,)),
-                             ("query_trials", (self.query_trials,))):
+                             ("query_trials", (self.query_trials,)), ("seed", (self.seed,))):
             if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
                 raise ValueError(f"{name} must be integers, got {values!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.table_trials < 1:
             raise ValueError("table_trials must be at least 1")
         if self.query_trials < 1:

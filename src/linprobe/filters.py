@@ -160,10 +160,16 @@ class FprReport:
 
 
 def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> list[int]:
-    """`count` distinct uniform keys below `bound` (bound >> count), in order
-    of first draw; rounds of `count` draws repeat until enough are distinct."""
-    drawn = np.empty(0, dtype=np.uint64)
-    first = np.empty(0, dtype=np.intp)  # first occurrence of each distinct key
+    """`count` distinct uniform keys below `bound` (0 <= count <= bound, and
+    fast for bound >> count), in order of first draw; rounds of `count`
+    draws repeat until enough are distinct."""
+    if not 0 <= count <= bound:
+        raise ValueError(f"cannot draw {count} distinct keys below {bound}")
+    drawn = rng.integers(0, bound, size=count, dtype=np.uint64)
+    ordered = np.sort(drawn)
+    if (ordered[1:] != ordered[:-1]).all():  # no duplicate: the usual case
+        return drawn.tolist()
+    first = np.unique(drawn, return_index=True)[1]  # first occurrence of each distinct key
     while len(first) < count:
         drawn = np.concatenate([drawn, rng.integers(0, bound, size=count, dtype=np.uint64)])
         first = np.unique(drawn, return_index=True)[1]

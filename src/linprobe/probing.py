@@ -4,6 +4,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional
 
@@ -21,6 +22,14 @@ class SearchResult(NamedTuple):
     found: bool
     position: Optional[int]
     probes: int
+
+
+@functools.cache
+def _absent(probes: int) -> SearchResult:
+    """The one shared (immutable) result of an absent search with `probes`
+    probes; the cache holds one per probe count seen, so at most the
+    largest table size."""
+    return SearchResult(False, None, probes)
 
 
 class Run(NamedTuple):
@@ -121,11 +130,12 @@ class ProbeTable:
     def search(self, x: int, start: Optional[int] = None) -> SearchResult:
         """Scan from h(x) until x or an empty slot; `start` is h(x)
         precomputed, as for insert.  For an absent key the scan is identical
-        to the one insert would perform."""
+        to the one insert would perform, and the result is shared with every
+        absent search of as many probes."""
         if start is None:
             start = self.hash_fn(x)
         found, i, probes = _scan(self.slots, self.t - 1, start, x)
-        return SearchResult(found, i if found else None, probes)
+        return SearchResult(True, i, probes) if found else _absent(probes)
 
     def delete(self, x: int) -> None:
         """Remove x and refill the hole by backward shifting.

@@ -324,7 +324,8 @@ class TestCli:
                                      {"experiment": "interval_concentration", "levels": [1.5]},
                                      {"n_values": [1 << 56]},
                                      {"experiment": "filter_fpr", "b_values": [64],
-                                      "modes": ["tabulation_paired"], "query_trials": 10}])
+                                      "modes": ["tabulation_paired"], "query_trials": 10},
+                                     {"seed": -1}, {"seed": 1.5}, {"seed": True}])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         experiment = bad.get("experiment", "max_run")
         cfg = tmp_path / "cfg.json"
@@ -333,6 +334,28 @@ class TestCli:
         rc = cli_main(["--experiment", experiment, "--config", str(cfg), "--out", str(out)])
         assert rc == 2 and not out.exists()
         assert "error: bad config" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli_main(["--experiment", "max_run", "--seed", "-1", "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "error: bad config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_seed,flag,seed", [(7, [], 7), (7, ["--seed", "3"], 3),
+                                                     (None, [], 0)])
+    def test_seed_flag_overrides_config_seed(self, tmp_path, file_seed, flag, seed):
+        cfg = {"families": ["random"], "n_values": [64], "table_trials": 2}
+        outs = []
+        for name, raw, argv in (("file", {**cfg, "seed": file_seed}, flag),
+                                ("flag", cfg, ["--seed", str(seed)])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+            out = tmp_path / f"{name}.csv"
+            rc = cli_main(["--experiment", "max_run", "--config", str(path), "--out", str(out),
+                           *argv])
+            assert rc == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_config_without_experiment_uses_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -321,7 +321,7 @@ def sample_distinct_keys_loop(rng, count, bound):
 
 
 @pytest.mark.parametrize("count,bound", [(0, 10), (1, 10), (1, 2), (5, 8), (20, 23),
-                                         (200, 203), (1000, P)])
+                                         (200, 203), (1000, P), (116_384, P)])
 def test_sample_distinct_keys_matches_loop(count, bound):
     for stream in range(5):
         a, b = derived_rng(11, stream), derived_rng(11, stream)
@@ -329,3 +329,11 @@ def test_sample_distinct_keys_matches_loop(count, bound):
         assert got == sample_distinct_keys_loop(b, count, bound)
         assert all(type(k) is int for k in got)
         assert a.integers(0, 2**63) == b.integers(0, 2**63)  # same draws consumed
+
+
+@pytest.mark.parametrize("count,bound", [(3, 2), (-1, 10)])
+def test_sample_distinct_keys_rejects_impossible_count(count, bound):
+    rng, untouched = derived_rng(0, 0), derived_rng(0, 0)
+    with pytest.raises(ValueError):
+        sample_distinct_keys(rng, count, bound)
+    assert rng.integers(0, 2**63) == untouched.integers(0, 2**63)  # nothing drawn

@@ -9,6 +9,7 @@ from linprobe.hashing import TrulyRandomHash, derived_rng, new_polynomial
 from linprobe.probing import (
     ProbeTable,
     Run,
+    SearchResult,
     TableFullError,
     check_query_run_lemma,
     check_run_lemma,
@@ -92,6 +93,22 @@ class TestInsertSearch:
         table = ProbeTable(8, FixedHash(8))
         res = table.search(1)
         assert not res.found and res.probes == 1
+
+    def test_absent_results_are_shared_values(self):
+        table = build(8, {1: 3, 2: 3, 5: 3, 6: 6, 7: 3}, [1, 2])
+        first = table.search(5)
+        assert first == SearchResult(False, None, 3) and first.probes == 3
+        assert table.search(7) is first  # same probe count, one shared value
+        table.insert(5)
+        assert first == SearchResult(False, None, 3)  # a later insert leaves it as it was
+        assert table.search(5) == SearchResult(True, 5, 3)
+        assert table.search(7) == SearchResult(False, None, 4)
+        assert table.search(6) == SearchResult(False, None, 1)
+
+    def test_found_results_keep_position_and_probes(self):
+        table = build(8, {1: 7, 2: 7, 3: 7}, [1, 2, 3])
+        assert [table.search(x) for x in (1, 2, 3)] == [
+            SearchResult(True, 7, 1), SearchResult(True, 0, 2), SearchResult(True, 1, 3)]
 
     def test_absent_search_probes_equal_insert_probes(self):
         table, _ = random_table(64, 0.6, seed=11)
