@@ -283,15 +283,11 @@ def _trial_counts(family: str, n: int, t: int, seed: int, stream: int) -> np.nda
     return np.bincount(h.hash_array(keys).astype(np.int64), minlength=t)
 
 
-def _interval_trial(family: str, n: int, t: int, seed: int, stream: int, levels):
+def _interval_trial(family: str, n: int, t: int, seed: int, stream: int, levels) -> list[int]:
+    """Near-full aligned intervals of one trial, one count per level."""
     counts = _trial_counts(family, n, t, seed, stream)
-    out = {}
-    for level in levels:
-        if (1 << level) > t:
-            continue
-        pooled = interval_counts(counts, level)
-        out[level] = (int((pooled >= near_full_threshold(level)).sum()), len(pooled))
-    return out
+    return [int((interval_counts(counts, level) >= near_full_threshold(level)).sum())
+            for level in levels]
 
 
 def exp_interval_concentration(config: ExperimentConfig, threads: int = 1) -> list[Row]:
@@ -300,15 +296,16 @@ def exp_interval_concentration(config: ExperimentConfig, threads: int = 1) -> li
 
     The table is held at load 2/3 (n = floor(2t/3)).  All t/2^l intervals
     of a trial contribute samples; they are identically distributed, so
-    the pooled estimate is unbiased.
+    the pooled estimate is unbiased.  Levels with 2^l > t are skipped.
     """
+    def fitting(cell: Cell) -> list[int]:
+        return [level for level in config.levels if 1 << level <= cell.t]
+
     rows = []
     for cell, results in _run_grid(config, threads, 2, _interval_trial,
-                                   lambda cell, i: (config.levels,)):
-        for level in config.levels:
-            if (1 << level) > cell.t:
-                continue
-            p_hat = sum(r[level][0] for r in results) / sum(r[level][1] for r in results)
+                                   lambda cell, i: (fitting(cell),)):
+        for level, hits in zip(fitting(cell), zip(*results)):
+            p_hat = sum(hits) / (len(results) * (cell.t >> level))
             rows.append(_row(config, cell, f"near_full_prob_l={level}", p_hat))
             rows.append(_row(config, cell, f"near_full_prob_x4l_l={level}", p_hat * 4**level))
     return rows

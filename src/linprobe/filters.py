@@ -27,8 +27,8 @@ MODES = ("independent", "paired", "hash_of_signature", "tabulation_paired")
 
 
 class SignatureFilter:
-    """The linear probing scan of `ProbeTable`, storing the b-bit signature
-    s(x) in place of x, from the start slot hash_fn(x).
+    """The linear probing scan of `ProbeTable`, storing the signature s(x)
+    in place of x, from the start slot h(x); `place(x)` gives (h(x), s(x)).
 
     Empty slots are None, so every signature value is legal; a reserved
     nil-signature would skew the false-positive rate by 2^-b.  There is
@@ -36,23 +36,21 @@ class SignatureFilter:
     the shared evidence for other keys.
     """
 
-    def __init__(self, t: int, b: int, hash_fn, sig_fn):
+    def __init__(self, t: int, place: Callable[[int], tuple[int, int]]):
         if not _is_pow2(t):
             raise ValueError(f"filter size {t} must be a nonzero power of two")
         self.t = t
-        self.b = b
-        self.hash_fn = hash_fn
-        self.sig_fn = sig_fn
+        self.place = place
         self.slots: list[Optional[int]] = [None] * t
         self.n = 0
 
     def insert(self, x: int, placed: Optional[tuple[int, int]] = None) -> bool:
         """Insert x; returns False if x was already positive (its signature
         occurs on the scan path), in which case nothing is written.
-        `placed` is (h(x), s(x)) precomputed, else both are evaluated."""
+        `placed` is place(x) precomputed, else it is evaluated."""
         if self.n >= self.t - 1:
             raise TableFullError("cannot insert into a full filter")
-        start, sig = (self.hash_fn(x), self.sig_fn(x)) if placed is None else placed
+        start, sig = self.place(x) if placed is None else placed
         found, i, _ = _scan(self.slots, self.t - 1, start, sig)
         if found:
             return False
@@ -63,14 +61,13 @@ class SignatureFilter:
     def query(self, q: int) -> bool:
         """True iff s(q) appears among the signatures scanned from the start
         slot to the first empty slot."""
-        sig = self.sig_fn(q)
-        return _scan(self.slots, self.t - 1, self.hash_fn(q), sig)[0]
+        start, sig = self.place(q)
+        return _scan(self.slots, self.t - 1, start, sig)[0]
 
 
 def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> SignatureFilter:
-    """Build a filter with (h, s) drawn per the requested mode.
-
-    Every mode is one placement x -> (start slot, signature):
+    """Build a filter whose placement x -> (start slot, signature) is drawn
+    per the requested mode:
 
     independent:        (h(x), s(x)): 5-independent h, universal b-bit s,
                         separate seed streams.
@@ -80,7 +77,7 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
                         comparison.
     tabulation_paired:  one simple-tabulation output split the same way.
     """
-    return SignatureFilter(t, b, *_split(_placement(t, b, mode, seed, stream)[0]))
+    return SignatureFilter(t, _placement(t, b, mode, seed, stream)[0])
 
 
 def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Callable, Callable]:
@@ -128,23 +125,6 @@ def _check_paired_width(t: int, b: int, mode: str) -> None:
     if (mode == "paired" and DEFAULT_FIELD.p < 24 * (t << b)
             or mode == "tabulation_paired" and t << b > 1 << 64):
         raise ValueError(f"log2(t) + b too wide for the {mode} construction (t={t}, b={b})")
-
-
-def _split(place: Callable[[int], tuple[int, int]]) -> tuple[Callable, Callable]:
-    """(h, s) as the two halves of one placement x -> (start slot, signature).
-    They share a memo of the last key, so `place` runs once per key across
-    s(x), h(x) and any shadow table placing by h."""
-    last = (None, (0, 0))
-
-    def value(x: int) -> tuple[int, int]:
-        nonlocal last
-        key, v = last
-        if key is None or key != x:
-            v = place(x)
-            last = (x, v)
-        return v
-
-    return (lambda x: value(x)[0]), (lambda x: value(x)[1])
 
 
 @dataclass(frozen=True)
@@ -198,8 +178,8 @@ def measure_fpr(
     if trials < 1:
         raise ValueError("need at least one query")
     place, place_array = _placement(t, b, mode, seed, stream)
-    flt = SignatureFilter(t, b, *_split(place))
-    shadow = ProbeTable(t, flt.hash_fn)
+    flt = SignatureFilter(t, place)
+    shadow = ProbeTable(t, lambda x: place(x)[0])
     rng = derived_rng(seed, stream + 1_000_003)
     keys = sample_distinct_keys(rng, n + trials, DEFAULT_FIELD.p)
     starts, sigs = place_array(np.array(keys, dtype=np.uint64))  # every key in one batch

@@ -97,6 +97,8 @@ class ProbeTable:
     def __init__(self, t: int, hash_fn):
         if not _is_pow2(t):
             raise ValueError(f"table size {t} must be a nonzero power of two")
+        if getattr(hash_fn, "range_t", t) != t:
+            raise ValueError(f"hash range {hash_fn.range_t} does not match table size {t}")
         self.t = t
         self.hash_fn = hash_fn
         self.slots: list[Optional[int]] = [None] * t

@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["probe_cost", "filter_fpr", "occupancy"])
+@pytest.mark.parametrize("workload", ["probe_cost", "filter_fpr", "occupancy", "moments"])
 def test_traced_self_test_passes(workload):
     proc = subprocess.run([sys.executable, "bench/run.py", "--workload", workload, "--seed", "0",
                            "--seconds", "1", "--trace", "1"],

@@ -255,11 +255,11 @@ class TestIntervalConcentration:
 
     def test_whole_table_interval_never_near_full(self):
         cfg = tiny_config("interval_concentration", families=("random",),
-                          n_values=(170,), table_trials=20, levels=(8,))
+                          n_values=(170,), table_trials=20, levels=(9, 8))
         rows = run_experiment(cfg)
-        # 2^8 = t: interval is the whole table, n < (3/4)t
-        p_hat = next(r.value for r in rows if r.metric == "near_full_prob_l=8")
-        assert p_hat == 0.0
+        # 2^8 = t: interval is the whole table, n < (3/4)t; 2^9 > t emits no row
+        assert [r.metric for r in rows] == ["near_full_prob_l=8", "near_full_prob_x4l_l=8"]
+        assert rows[0].value == 0.0
 
 
 class TestThreeIndep:

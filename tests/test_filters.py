@@ -37,8 +37,7 @@ class FixedHash:
 
 def fixed_filter(t=16, hmap=None, smap=None):
     h = FixedHash(t, hmap)
-    s = lambda x: (smap or {}).get(x, x % 7)
-    return SignatureFilter(t, 8, h, s)
+    return SignatureFilter(t, lambda x: (h(x), (smap or {}).get(x, x % 7)))
 
 
 class TestInsertQuery:
@@ -74,7 +73,7 @@ class TestInsertQuery:
     def test_full_filter_rejected(self):
         f = fixed_filter(t=4, smap=None)
         h = FixedHash(4)
-        f = SignatureFilter(4, 8, h, lambda x: x)
+        f = SignatureFilter(4, lambda x: (h(x), x))
         for x in (1, 2, 3):
             f.insert(x)
         with pytest.raises(TableFullError):
@@ -133,18 +132,31 @@ class TestModes:
         f = make_filter(1 << 6, 4, "paired", seed=23)
         # h and s come from one drawn value: both deterministic per key
         for x in (5, 99, 12345):
-            assert f.hash_fn(x) == f.hash_fn(x)
-            assert 0 <= f.hash_fn(x) < 1 << 6
-            assert 0 <= f.sig_fn(x) < 1 << 4
+            start, sig = f.place(x)
+            assert f.place(x) == (start, sig)
+            assert 0 <= start < 1 << 6
+            assert 0 <= sig < 1 << 4
 
     def test_paired_split_matches_wide_hash(self):
         f = make_filter(1 << 6, 4, "paired", seed=23)
         wide = new_polynomial(5, 1 << 10, 23)
-        # repeated and alternating keys: the last-key memo must never go stale
         for x in (5, 99, 5, 12345, 99, 99, 5):
-            assert f.sig_fn(x) == wide(x) & 15
-            assert f.hash_fn(x) == wide(x) >> 4
-            assert f.hash_fn(x) == wide(x) >> 4
+            assert f.place(x) == (wide(x) >> 4, wide(x) & 15)
+
+
+def test_place_evaluated_once_per_operation():
+    calls = []
+
+    def place(x):
+        calls.append(x)
+        return x % 8, x % 5
+
+    f = SignatureFilter(8, place)
+    assert f.insert(3) and calls == [3]
+    assert f.query(11) is False and calls == [3, 11]
+    assert f.query(3) and calls == [3, 11, 3]
+    assert f.insert(12, (4, 2)) and calls == [3, 11, 3]  # placed precomputed: none
+    assert f.slots[4] == 2
 
 
 P = 2**61 - 1
@@ -165,7 +177,7 @@ def scalar_fpr(t, b, mode, n, trials, seed, stream):
     """measure_fpr's keys through the scalar reference: make_filter,
     SignatureFilter.insert/query, and an exact table on the filter's start hash."""
     flt = make_filter(t, b, mode, seed, stream=stream)
-    shadow = ProbeTable(t, flt.hash_fn)
+    shadow = ProbeTable(t, lambda x: flt.place(x)[0])
     keys = sample_distinct_keys(derived_rng(seed, stream + 1_000_003), n + trials, P)
     for x in keys[:n]:
         flt.insert(x)
@@ -318,7 +330,7 @@ def test_shadow_scan_contains_filter_scan():
     # table's scan path for the same query
     t = 1 << 8
     f = make_filter(t, 4, "independent", seed=51)
-    shadow = ProbeTable(t, f.hash_fn)
+    shadow = ProbeTable(t, lambda x: f.place(x)[0])
     keys = sample_distinct_keys(derived_rng(52, 0), 150, 2**61 - 1)
     inserted_at = {}
     for x in keys:
@@ -327,6 +339,7 @@ def test_shadow_scan_contains_filter_scan():
             pass
     queries = sample_distinct_keys(derived_rng(53, 0), 500, 2**61 - 1)
     for q in set(queries) - set(keys):
-        exact_scan = set(scan_keys(shadow, f.hash_fn(q)))
+        start, sig = f.place(q)
+        exact_scan = set(scan_keys(shadow, start))
         if f.query(q):
-            assert f.sig_fn(q) in {f.sig_fn(x) for x in exact_scan}
+            assert sig in {f.place(x)[1] for x in exact_scan}

@@ -68,6 +68,14 @@ class TestInsertSearch:
         table = ProbeTable(8, FixedHash(8, {10: 5}))
         assert table.insert(10) == (5, 1)
 
+    def test_hash_range_must_match_table_size(self):
+        with pytest.raises(ValueError, match="hash range 1024 does not match table size 256"):
+            ProbeTable(256, new_polynomial(5, 1024, 0))
+        with pytest.raises(ValueError, match="hash range"):
+            ProbeTable(8, FixedHash(16))
+        # a hash without a declared range is taken as is
+        assert ProbeTable(8, lambda x: x % 8).insert(13) == (5, 1)
+
     def test_insert_past_occupied(self):
         table = build(8, {20: 5, 10: 5}, [20])
         assert table.insert(10) == (6, 2)
@@ -378,7 +386,7 @@ def test_hypothesis_fill_invariant_and_model(case):
     model = set()
     # the filter with injective signatures (s = identity) answers exactly;
     # it has no delete, so its model only grows
-    flt = SignatureFilter(t, 8, h, lambda x: x)
+    flt = SignatureFilter(t, lambda x: (h(x), x))
     flt_model = set()
     for op, x in ops:
         if op == "ins":
