@@ -60,33 +60,36 @@ def exact_fourth_moment(profile: BernoulliProfile) -> float:
     return diag + cross
 
 
-def _outcomes(profile: BernoulliProfile, x0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Probability and value x0 + X of each of the 2^n outcomes, adding 1
-    per success.  Limited to n <= ENUM_LIMIT."""
+def _outcomes(profile: BernoulliProfile, x0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probability and success count of each of the 2^n outcomes, and the
+    n + 1 values x0 + j, adding 1 per success.  Limited to n <= ENUM_LIMIT."""
     if profile.n > ENUM_LIMIT:
         raise ValueError(f"n = {profile.n} exceeds enumeration limit {ENUM_LIMIT}")
     probs = np.array([1.0])
-    values = np.array([x0])
+    succ = np.zeros(1, dtype=np.uint8)
+    values = [x0]
     for p in profile.probabilities:
         probs = np.concatenate([probs * (1 - p), probs * p])
-        values = np.concatenate([values, values + 1])
-    return probs, values
+        succ = np.concatenate([succ, succ + 1])
+        values.append(values[-1] + 1)  # x0 + j in one add can round differently
+    return probs, succ, np.array(values, dtype=float)
 
 
 def sum_distribution(profile: BernoulliProfile) -> np.ndarray:
     """Exact distribution of X = sum X_i as an array of length n+1, built by
     enumerating all 2^n outcomes.  Limited to n <= ENUM_LIMIT."""
-    probs, sums = _outcomes(profile, 0)
-    dist = np.zeros(profile.n + 1)
-    np.add.at(dist, sums, probs)
-    return dist
+    probs, succ, _ = _outcomes(profile, 0)
+    return np.bincount(succ, weights=probs, minlength=profile.n + 1)
 
 
 def brute_force_moment(profile: BernoulliProfile, k: int) -> float:
     """E[(X - mu)^k] by full 2^n outcome enumeration (n <= ENUM_LIMIT);
-    the independent oracle for the closed forms and bounds."""
-    probs, devs = _outcomes(profile, -profile.mu)
-    return math.fsum(probs * devs**k)
+    the independent oracle for the closed forms and bounds.  Each of the
+    n + 1 deviation powers is taken once and spread over its outcomes."""
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError("k must be a non-negative integer")
+    probs, succ, devs = _outcomes(profile, -profile.mu)
+    return math.fsum((probs * (devs**k)[succ]).tolist())
 
 
 def fourth_moment_bound(mu: float) -> float:
@@ -150,6 +153,10 @@ def tail_check(
     Exact by enumeration when n <= ENUM_LIMIT, otherwise Monte Carlo with
     `trials` samples from the given seed.
     """
+    if not d > 0:
+        raise ValueError("d must be positive")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     mu = profile.mu
     if mu < 1:
         raise ValueError("tail bounds require mu >= 1")
@@ -168,7 +175,7 @@ def tail_check(
         rng = derived_rng(seed, 0)
         ps = np.array(profile.probabilities)
         hits = 0
-        chunk = 1 << 14
+        chunk = 1 << 11
         done = 0
         while done < trials:
             m = min(chunk, trials - done)

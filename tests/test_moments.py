@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from linprobe.hashing import derived_rng, new_polynomial
 from linprobe.moments import (
@@ -20,6 +20,35 @@ from linprobe.moments import (
 profiles = st.lists(
     st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=16
 ).map(lambda ps: BernoulliProfile(tuple(ps)))
+
+# probabilities 0 and 1 and repeated values mixed with arbitrary floats
+edge_profiles = st.lists(
+    st.sampled_from([0.0, 1.0, 0.5, 0.1, 0.9, 1 / 3]) | st.floats(0.0, 1.0, allow_nan=False),
+    min_size=0, max_size=16,
+).map(lambda ps: BernoulliProfile(tuple(ps)))
+
+
+def reference_outcomes(profile, x0):
+    """Per-outcome enumerator: the probability and value x0 + X of each of
+    the 2^n outcomes, both built by concatenation."""
+    probs = np.array([1.0])
+    values = np.array([x0])
+    for p in profile.probabilities:
+        probs = np.concatenate([probs * (1 - p), probs * p])
+        values = np.concatenate([values, values + 1])
+    return probs, values
+
+
+def reference_moment(profile, k):
+    probs, devs = reference_outcomes(profile, -profile.mu)
+    return math.fsum(probs * devs**k)
+
+
+def reference_distribution(profile):
+    probs, sums = reference_outcomes(profile, 0)
+    dist = np.zeros(profile.n + 1)
+    np.add.at(dist, sums, probs)
+    return dist
 
 
 class TestProfile:
@@ -64,6 +93,39 @@ class TestBruteForce:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             brute_force_moment(BernoulliProfile((0.5,) * 21), 4)
+
+    @pytest.mark.parametrize("k", [-1, 2.5, "4", None])
+    def test_rejects_non_integer_or_negative_k(self, k):
+        with pytest.raises(ValueError):
+            brute_force_moment(BernoulliProfile((0.3, 0.7, 0.9)), k)
+
+    def test_zeroth_moment_is_one(self):
+        assert brute_force_moment(BernoulliProfile((0.5, 0.5)), 0) == 1.0
+        assert brute_force_moment(BernoulliProfile((0.3, 0.7, 0.9)), 0) == pytest.approx(1.0)
+
+    def test_numpy_integer_k(self):
+        p = BernoulliProfile((0.3, 0.7, 0.9))
+        assert brute_force_moment(p, np.int64(4)) == brute_force_moment(p, 4)
+
+    @given(edge_profiles)
+    # here -mu + 5 is one ulp away from -mu + 1 + 1 + 1 + 1 + 1
+    @example(BernoulliProfile((0.11162309008346805, 0.20935861224149577, 0.058402840139695655,
+                               0.09998391007885199, 0.4730885225333248)))
+    @settings(max_examples=200, deadline=None)
+    def test_moments_equal_per_outcome_enumeration(self, profile):
+        for k in range(9):
+            assert brute_force_moment(profile, k) == reference_moment(profile, k)
+
+    @given(edge_profiles)
+    @settings(max_examples=200, deadline=None)
+    def test_distribution_equals_per_outcome_enumeration(self, profile):
+        dist = sum_distribution(profile)
+        assert dist.dtype == np.float64 and dist.shape == (profile.n + 1,)
+        assert (dist == reference_distribution(profile)).all()
+
+    def test_distribution_equals_per_outcome_enumeration_at_n_20(self):
+        profile = BernoulliProfile(tuple(derived_rng(12, 0).random(20)))
+        assert (sum_distribution(profile) == reference_distribution(profile)).all()
 
     def test_distribution_sums_to_one(self):
         dist = sum_distribution(BernoulliProfile((0.2, 0.9, 0.4)))
@@ -140,6 +202,33 @@ class TestTailCheck:
     def test_rejects_small_mean(self):
         with pytest.raises(ValueError):
             tail_check(BernoulliProfile((0.25,)), d=2.0)
+
+    @pytest.mark.parametrize("d", [0.0, -2.0, float("nan")])
+    def test_rejects_non_positive_d(self, d):
+        with pytest.raises(ValueError):
+            tail_check(BernoulliProfile.uniform(8, 0.5), d=d)
+        with pytest.raises(ValueError):
+            tail_check(BernoulliProfile.uniform(64, 0.5), d=d, trials=100, seed=1)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError):
+            tail_check(BernoulliProfile.uniform(64, 0.5), d=2.0, trials=trials, seed=1)
+        with pytest.raises(ValueError):
+            tail_check(BernoulliProfile.uniform(8, 0.5), d=2.0, trials=trials)
+
+    def test_sampling_in_chunks_keeps_the_random_stream(self):
+        # past ENUM_LIMIT, with a trial count that leaves a partial chunk
+        ps = tuple(derived_rng(31, 0).random(24))
+        profile, d, seed, trials = BernoulliProfile(ps), 1.0, 9, 3 * (1 << 11) + 17
+        rep = tail_check(profile, d=d, trials=trials, seed=seed)
+        assert not rep.exact
+        mu = profile.mu
+        cut = d * math.sqrt(mu) * (1 - 1e-12)
+        x = (derived_rng(seed, 0).random((trials, profile.n)) < np.array(ps)).sum(axis=1)
+        prob = int((np.abs(x - mu) >= cut).sum()) / trials
+        assert rep.empirical_prob == prob
+        assert rep.std_error == math.sqrt(max(prob * (1 - prob), 1e-12) / trials)
 
     def test_chebyshev_dominated_iff_d_at_least_two(self):
         for d in (1.0, 1.5, 1.99, 2.0, 2.5, 4.0):
