@@ -21,7 +21,7 @@ import numpy as np
 
 from .filters import MODES, _check_paired_width, measure_fpr, sample_distinct_keys
 from .hashing import (
-    DEFAULT_FIELD,
+    MERSENNE61,
     TrulyRandomHash,
     derived_rng,
     derived_seed,
@@ -71,7 +71,7 @@ def trial_keys(name: str, n: int, seed: int, stream: int) -> list[int]:
     if name.endswith("_seq"):
         return list(range(n))
     rng = derived_rng(seed, stream)
-    return sample_distinct_keys(rng, n, DEFAULT_FIELD.p)
+    return sample_distinct_keys(rng, n, MERSENNE61)
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class ExperimentConfig:
         for n in self.n_values:
             if n < 1:
                 raise ValueError("n values must be positive")
-            if table_size_for(n, self.load_target) > DEFAULT_FIELD.p // 24:
+            if table_size_for(n, self.load_target) > MERSENNE61 // 24:
                 raise ValueError(f"n = {n} needs a table wider than p / 24 slots")
         for m in self.modes:
             if m not in MODES:
@@ -243,7 +243,7 @@ def _probe_cost_trial(family: str, n: int, t: int, seed: int, stream: int, queri
     rng = derived_rng(seed, stream + 2)
     absent = []
     while len(absent) < queries:
-        drawn = rng.integers(0, DEFAULT_FIELD.p, size=queries - len(absent), dtype=np.uint64)
+        drawn = rng.integers(0, MERSENNE61, size=queries - len(absent), dtype=np.uint64)
         absent += [q for q in drawn.tolist() if q not in stored]
     # keys, then queries, in one batch: the random family draws in the order
     # a scalar insert-then-search loop would.  The slots are converted to

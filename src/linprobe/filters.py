@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .hashing import (
-    DEFAULT_FIELD,
+    MERSENNE61,
     derived_rng,
     new_polynomial,
     new_tabulation,
@@ -99,7 +99,7 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
             return h(sig if of_sig else x), sig
 
         def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            sigs = _mersenne_horner(universal.field, universal.coefficients, keys) & sig_mask
+            sigs = _mersenne_horner(universal.coefficients, keys) & sig_mask
             return h.hash_array(sigs if of_sig else keys), sigs
     else:
         _check_paired_width(t, b, mode)
@@ -120,9 +120,10 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
 
 def _check_paired_width(t: int, b: int, mode: str) -> None:
     """Raise ValueError unless a paired mode's log2(t) + b bit hash fits its
-    family: the polynomial field for `paired` (p >= 24 * 2^(log2(t) + b)),
-    64 bits for `tabulation_paired`.  Other modes draw no joint hash."""
-    if (mode == "paired" and DEFAULT_FIELD.p < 24 * (t << b)
+    family: p = 2^61 - 1 >= 24 * 2^(log2(t) + b) for `paired`, so
+    log2(t) + b <= 56, and 64 bits for `tabulation_paired`.  Other modes
+    draw no joint hash."""
+    if (mode == "paired" and MERSENNE61 < 24 * (t << b)
             or mode == "tabulation_paired" and t << b > 1 << 64):
         raise ValueError(f"log2(t) + b too wide for the {mode} construction (t={t}, b={b})")
 
@@ -181,7 +182,7 @@ def measure_fpr(
     flt = SignatureFilter(t, place)
     shadow = ProbeTable(t, lambda x: place(x)[0])
     rng = derived_rng(seed, stream + 1_000_003)
-    keys = sample_distinct_keys(rng, n + trials, DEFAULT_FIELD.p)
+    keys = sample_distinct_keys(rng, n + trials, MERSENNE61)
     starts, sigs = place_array(np.array(keys, dtype=np.uint64))  # every key in one batch
     for x, start, sig in zip(keys[:n], starts[:n].tolist(), sigs[:n].tolist()):
         flt.insert(x, (start, sig))
@@ -202,8 +203,10 @@ def measure_fpr(
 
 
 def scan_keys(table: ProbeTable, start: int) -> list[int]:
-    """Keys encountered scanning cyclically from `start` to the first
-    empty slot, in scan order."""
+    """Keys encountered scanning cyclically from slot `start` (in [0, t))
+    to the first empty slot, in scan order."""
+    if not 0 <= start < table.t:
+        raise ValueError(f"slot {start} outside [0, {table.t})")
     mask = table.t - 1
     probes = _scan(table.slots, mask, start, None)[2]  # a scan for None ends at an empty slot
     return [table.slots[(start + k) & mask] for k in range(probes - 1)]

@@ -1,5 +1,6 @@
-"""Hash function families: polynomial over a prime field, simple tabulation,
-linear, and a memoized truly-random baseline.
+"""Hash function families: polynomial modulo the Mersenne prime
+p = 2^61 - 1, simple tabulation, linear, and a memoized truly-random
+baseline.
 
 All families are constructed from a (root_seed, stream) pair via
 `derived_rng`, so every drawn function is reproducible and independent
@@ -9,6 +10,7 @@ streams can be evaluated in any order.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -16,38 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["MERSENNE61", "DEFAULT_FIELD", "LinearHash", "PolynomialHash", "PrimeField",
-    "TabulationHash", "TrulyRandomHash", "derived_rng", "derived_seed", "new_linear",
-    "new_polynomial", "new_tabulation", "verify_independence_exact"]
+__all__ = ["MERSENNE61", "LinearHash", "PolynomialHash", "TabulationHash", "TrulyRandomHash",
+    "derived_rng", "derived_seed", "new_linear", "new_polynomial", "new_tabulation",
+    "verify_independence_exact"]
 
-# Fixed production modulus: the Mersenne prime 2^61 - 1.
+# The one modulus of polynomial hashing: the Mersenne prime 2^61 - 1.
 MERSENNE61 = (1 << 61) - 1
-
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for q in _MR_WITNESSES:
-        if n % q == 0:
-            return n == q
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def derived_rng(root_seed: int, stream: int) -> np.random.Generator:
@@ -69,19 +45,6 @@ def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    """Prime modulus for polynomial hashing. Primality is checked."""
-
-    p: int = MERSENNE61
-
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-
-DEFAULT_FIELD = PrimeField()
-
 _LOW32 = 0xFFFFFFFF
 _LOW29 = (1 << 29) - 1
 
@@ -93,7 +56,7 @@ def _reduce61(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _mersenne_horner(field: PrimeField, coefficients: tuple[int, ...], keys) -> np.ndarray:
+def _mersenne_horner(coefficients: tuple[int, ...], keys) -> np.ndarray:
     """Horner evaluation mod p = 2^61 - 1 at every uint64 key, bit-identical
     to the scalar path (Thorup, arXiv:1504.06804).
 
@@ -101,8 +64,6 @@ def _mersenne_horner(field: PrimeField, coefficients: tuple[int, ...], keys) -> 
     keys >= p.  Every product of residues is split into 32-bit halves and
     folded with 2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.
     """
-    if field.p != MERSENNE61:
-        raise ValueError("batch hashing supports only the Mersenne field 2^61 - 1")
     x = _reduce61(np.asarray(keys, dtype=np.uint64))
     x_hi, x_lo = x >> 32, x & _LOW32
     acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
@@ -129,11 +90,10 @@ def _mersenne_horner(field: PrimeField, coefficients: tuple[int, ...], keys) -> 
 
 @dataclass(frozen=True)
 class PolynomialHash:
-    """Degree-(k-1) polynomial over a prime field, masked to a power-of-two
+    """Degree-(k-1) polynomial mod p = 2^61 - 1, masked to a power-of-two
     range.  With uniformly drawn coefficients this family is k-independent
     (up to the small mod-range bias)."""
 
-    field: PrimeField
     coefficients: tuple[int, ...]
     range_t: int
 
@@ -142,7 +102,7 @@ class PolynomialHash:
             raise ValueError("need at least one coefficient")
         if not _is_pow2(self.range_t):
             raise ValueError(f"range {self.range_t} is not a power of two")
-        if any(not 0 <= a < self.field.p for a in self.coefficients):
+        if any(not 0 <= a < MERSENNE61 for a in self.coefficients):
             raise ValueError("coefficients must be residues in [0, p)")
 
     @property
@@ -151,45 +111,40 @@ class PolynomialHash:
 
     def eval_mod_p(self, x: int) -> int:
         """Horner evaluation mod p, before range reduction."""
-        p = self.field.p
         acc = 0
         for a in reversed(self.coefficients):
-            acc = (acc * x + a) % p
+            acc = (acc * x + a) % MERSENNE61
         return acc
 
     def __call__(self, x: int) -> int:
         return self.eval_mod_p(x) & (self.range_t - 1)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array (Mersenne field only)."""
-        return _mersenne_horner(self.field, self.coefficients, keys) & (self.range_t - 1)
+        """`__call__` of every uint64 key, as a uint64 array."""
+        return _mersenne_horner(self.coefficients, keys) & (self.range_t - 1)
 
 
-def new_polynomial(
-    k: int, t: int, seed: int, *, stream: int = 0, field: PrimeField = DEFAULT_FIELD
-) -> PolynomialHash:
+def new_polynomial(k: int, t: int, seed: int, *, stream: int = 0) -> PolynomialHash:
     """Draw a k-independent polynomial hash with range [t].
 
     Requires p >= 24*t so that the constant-time guarantees downstream
-    apply; use the PolynomialHash constructor directly for tiny test
-    primes where that guard is irrelevant.
+    apply, so t is at most 2^56.
     """
     if k < 1:
         raise ValueError("independence degree k must be >= 1")
     if not _is_pow2(t):
         raise ValueError(f"table size {t} must be a nonzero power of two")
-    if field.p < 24 * t:
-        raise ValueError(f"modulus {field.p} < 24*t = {24 * t}")
+    if MERSENNE61 < 24 * t:
+        raise ValueError(f"modulus {MERSENNE61} < 24*t = {24 * t}")
     rng = derived_rng(seed, stream)
-    coeffs = tuple(int(c) for c in rng.integers(0, field.p, size=k, dtype=np.uint64))
-    return PolynomialHash(field=field, coefficients=coeffs, range_t=t)
+    coeffs = tuple(int(c) for c in rng.integers(0, MERSENNE61, size=k, dtype=np.uint64))
+    return PolynomialHash(coefficients=coeffs, range_t=t)
 
 
 @dataclass(frozen=True)
 class LinearHash:
     """x -> ((a*x + b) mod p) masked to [t].  2-independent only."""
 
-    field: PrimeField
     a: int
     b: int
     range_t: int
@@ -197,23 +152,20 @@ class LinearHash:
     def __post_init__(self):
         if not _is_pow2(self.range_t):
             raise ValueError(f"range {self.range_t} is not a power of two")
-        if not (0 <= self.a < self.field.p and 0 <= self.b < self.field.p):
+        if not (0 <= self.a < MERSENNE61 and 0 <= self.b < MERSENNE61):
             raise ValueError("a, b must be residues in [0, p)")
 
     def __call__(self, x: int) -> int:
-        return (self.a * x + self.b) % self.field.p & (self.range_t - 1)
+        return (self.a * x + self.b) % MERSENNE61 & (self.range_t - 1)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array (Mersenne field only)."""
-        return _mersenne_horner(self.field, (self.b, self.a), keys) & (self.range_t - 1)
+        """`__call__` of every uint64 key, as a uint64 array."""
+        return _mersenne_horner((self.b, self.a), keys) & (self.range_t - 1)
 
 
-def new_linear(
-    t: int, seed: int, *, stream: int = 0, field: PrimeField = DEFAULT_FIELD
-) -> LinearHash:
-    poly = new_polynomial(2, t, seed, stream=stream, field=field)
-    b, a = poly.coefficients
-    return LinearHash(field=field, a=a, b=b, range_t=t)
+def new_linear(t: int, seed: int, *, stream: int = 0) -> LinearHash:
+    b, a = new_polynomial(2, t, seed, stream=stream).coefficients
+    return LinearHash(a=a, b=b, range_t=t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,7 +289,9 @@ ENUMERATION_BUDGET = 10**6
 
 def verify_independence_exact(p: int, k: int, tuple_size: int):
     """Exhaustively check j-independence of the degree-(k-1) polynomial
-    family over Z_p with range t = p (so uniformity is exact).
+    family over a toy field Z_p with range t = p (so uniformity is exact).
+    Needs k >= 1 and p^k <= ENUMERATION_BUDGET, so p is small enough for
+    trial division to check that it is prime.
 
     Enumerates all p^k coefficient vectors and counts, for every j-tuple
     of distinct keys and every value assignment, how many functions
@@ -345,14 +299,16 @@ def verify_independence_exact(p: int, k: int, tuple_size: int):
     otherwise (False, counterexample) where the counterexample records
     (keys, values, count, expected).
     """
-    if not _is_prime(p):
+    if k < 1:
+        raise ValueError("independence degree k must be >= 1")
+    if p**k > ENUMERATION_BUDGET:
+        raise ValueError(f"p^k = {p ** k} exceeds enumeration budget")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
     # tuple_size may exceed k: the check then (correctly) fails, e.g. a
     # constant family is not 2-independent.
     if tuple_size < 1 or tuple_size > p:
         raise ValueError("tuple size must be in [1, p]")
-    if p**k > ENUMERATION_BUDGET:
-        raise ValueError(f"p^k = {p ** k} exceeds enumeration budget")
 
     tables = []
     for coeffs in itertools.product(range(p), repeat=k):

@@ -104,10 +104,6 @@ class ProbeTable:
         self.slots: list[Optional[int]] = [None] * t
         self.n = 0
 
-    @property
-    def load(self) -> float:
-        return self.n / self.t
-
     def keys(self):
         return (x for x in self.slots if x is not None)
 
@@ -223,8 +219,10 @@ def runs(table: ProbeTable) -> list[Run]:
 
 
 def _run_at(table: ProbeTable, slot: int) -> Run:
-    """The run covering `slot`, or Run(slot, 0) if the slot is empty.
-    Requires at least one empty slot."""
+    """The run covering `slot` (in [0, t)), or Run(slot, 0) if the slot is
+    empty.  Requires at least one empty slot."""
+    if not 0 <= slot < table.t:
+        raise ValueError(f"slot {slot} outside [0, {table.t})")
     if table.n >= table.t:
         raise TableFullError("a full table has no maximal runs")
     slots, mask = table.slots, table.t - 1
@@ -238,7 +236,7 @@ def _run_at(table: ProbeTable, slot: int) -> Run:
 
 
 def run_containing(table: ProbeTable, slot: int) -> int:
-    """Length of the run covering `slot`; 0 if the slot is empty."""
+    """Length of the run covering `slot` (in [0, t)); 0 if the slot is empty."""
     return _run_at(table, slot).length
 
 

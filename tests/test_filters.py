@@ -242,9 +242,9 @@ class TestMeasureFpr:
         horner, tab_array, original = (hashing._mersenne_horner, TabulationHash.hash_array,
                                        getattr(owner, attr))
 
-        def counted_horner(field, coefficients, keys):
+        def counted_horner(coefficients, keys):
             batched.extend(keys)
-            return horner(field, coefficients, keys)
+            return horner(coefficients, keys)
 
         def counted_tab_array(self, keys):
             batched.extend(keys)
@@ -323,6 +323,15 @@ def test_scan_keys_order():
     assert scan_keys(table, 5) == [1, 2, 3]
     assert scan_keys(table, 6) == [2, 3]
     assert scan_keys(table, 0) == []
+
+
+@pytest.mark.parametrize("start", [-1, 8])
+def test_scan_keys_refuses_slot_outside_table(start):
+    # slot 7 is occupied, so an aliased -1 would scan from it
+    table = ProbeTable(8, FixedHash(8, {1: 7}))
+    table.insert(1)
+    with pytest.raises(ValueError):
+        scan_keys(table, start)
 
 
 def test_shadow_scan_contains_filter_scan():

@@ -5,10 +5,8 @@ import pytest
 
 from linprobe.hashing import (
     MERSENNE61,
-    DEFAULT_FIELD,
     LinearHash,
     PolynomialHash,
-    PrimeField,
     TabulationHash,
     TrulyRandomHash,
     derived_rng,
@@ -20,13 +18,11 @@ from linprobe.hashing import (
 from linprobe.filters import sample_distinct_keys
 
 
-def test_default_field_is_the_mersenne_prime():
-    assert DEFAULT_FIELD.p == 2**61 - 1
+P = MERSENNE61
 
 
-def test_prime_field_rejects_composite():
-    with pytest.raises(ValueError):
-        PrimeField(2**61 - 2)
+def test_modulus_is_the_mersenne_prime():
+    assert MERSENNE61 == 2**61 - 1
 
 
 class TestNewPolynomial:
@@ -36,18 +32,19 @@ class TestNewPolynomial:
         assert a.coefficients == b.coefficients
 
     def test_coefficients_in_range(self):
-        field = PrimeField(7)
-        # small-prime draw bypasses the p >= 24t guard via direct construction
-        rng = derived_rng(3, 0)
-        coeffs = tuple(int(c) % 7 for c in rng.integers(0, 7, size=2))
-        h = PolynomialHash(field=field, coefficients=coeffs, range_t=2)
-        assert all(0 <= a < 7 for a in h.coefficients)
+        h = new_polynomial(5, 2**56, seed=3)  # the widest range the 24t guard allows
+        assert all(0 <= a < P for a in h.coefficients)
+
+    @pytest.mark.parametrize("coeffs", [(P,), (0, P), (-1, 2), (P + 5, 0, 1)])
+    def test_rejects_non_residue_coefficients(self, coeffs):
+        with pytest.raises(ValueError, match="residues"):
+            PolynomialHash(coeffs, 4)
 
     def test_degree_zero_is_constant(self):
         h = new_polynomial(1, 8, seed=1)
         values = {h(x) for x in range(100)}
         assert len(values) == 1
-        assert values == {h.coefficients[0] % DEFAULT_FIELD.p % 8}
+        assert values == {h.coefficients[0] % P % 8}
 
     @pytest.mark.parametrize("t", [0, 3, 12, 1000])
     def test_rejects_non_power_of_two(self, t):
@@ -56,7 +53,7 @@ class TestNewPolynomial:
 
     def test_rejects_small_modulus(self):
         with pytest.raises(ValueError, match="24"):
-            new_polynomial(2, 8, seed=0, field=PrimeField(97))
+            new_polynomial(2, 2**57, seed=0)  # 24 * 2^57 > p
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
@@ -64,41 +61,60 @@ class TestNewPolynomial:
 
 
 class TestEvalPoly:
-    def test_small_prime_arithmetic(self):
-        h = PolynomialHash(field=PrimeField(7), coefficients=(2, 3), range_t=4)
-        # 3*5 + 2 = 17; 17 mod 7 = 3; 3 mod 4 = 3
-        assert h(5) == 3
+    def test_small_coefficient_arithmetic(self):
+        h = PolynomialHash(coefficients=(2, 3), range_t=4)
+        # 3*(p + 5) + 2 = 17 (mod p); 17 mod 4 = 1
+        assert h(P + 5) == 1
+        assert h.eval_mod_p(P + 5) == 17
+        # 3*5 + 2 = 17 below p, so the key p + 5 aliases 5
+        assert h(5) == h(P + 5)
+
+    def test_coefficient_near_p_wraps(self):
+        h = PolynomialHash(coefficients=(P - 1, 1), range_t=8)
+        # x + p - 1 = x - 1 (mod p): wraps for every x >= 1
+        assert h.eval_mod_p(0) == P - 1
+        assert h.eval_mod_p(1) == 0
+        assert h.eval_mod_p(13) == 12
+        assert h(13) == 12 % 8
+        sq = PolynomialHash(coefficients=(0, 0, P - 1), range_t=8)
+        # -x^2 (mod p)
+        assert sq.eval_mod_p(3) == P - 9
+        assert sq(3) == (P - 9) % 8
 
     def test_zero_polynomial(self):
-        h = PolynomialHash(field=PrimeField(7), coefficients=(0, 0, 0), range_t=4)
-        assert all(h(x) == 0 for x in range(7))
+        h = PolynomialHash(coefficients=(0, 0, 0), range_t=4)
+        assert all(h(x) == 0 for x in [*range(7), P - 1, P, P + 1, 2**64 - 1])
 
     def test_matches_big_integer_oracle(self):
         h = new_polynomial(5, 2**12, seed=9)
-        p = DEFAULT_FIELD.p
         rng = derived_rng(10, 0)
-        for x in rng.integers(0, p, size=10**4, dtype=np.uint64):
+        for x in rng.integers(0, P, size=10**4, dtype=np.uint64):
             x = int(x)
-            naive = sum(a * x**i for i, a in enumerate(h.coefficients)) % p % 2**12
+            naive = sum(a * x**i for i, a in enumerate(h.coefficients)) % P % 2**12
             assert h(x) == naive
 
 
 class TestLinear:
     def test_degenerate_slope_is_constant(self):
-        h = LinearHash(field=PrimeField(7), a=0, b=5, range_t=4)
-        assert {h(x) for x in range(7)} == {5 % 7 % 4}
+        h = LinearHash(a=0, b=5, range_t=4)
+        assert {h(x) for x in [*range(7), P, 2**64 - 1]} == {5 % 4}
 
-    def test_small_prime_arithmetic(self):
-        h = LinearHash(field=PrimeField(7), a=3, b=2, range_t=4)
-        assert h(5) == 3
+    def test_small_coefficient_arithmetic(self):
+        h = LinearHash(a=3, b=2, range_t=4)
+        assert h(P + 5) == 1
+        # a = p - 1: (p - 1) * 5 + 2 = -3 (mod p)
+        assert LinearHash(a=P - 1, b=2, range_t=8)(5) == (P - 3) % 8
+
+    @pytest.mark.parametrize("a,b", [(P, 0), (0, P), (-1, 0)])
+    def test_rejects_non_residues(self, a, b):
+        with pytest.raises(ValueError, match="residues"):
+            LinearHash(a=a, b=b, range_t=4)
 
     def test_matches_degree_one_polynomial(self):
         lin = new_linear(2**10, seed=21)
-        poly = PolynomialHash(
-            field=lin.field, coefficients=(lin.b, lin.a), range_t=lin.range_t
-        )
+        poly = PolynomialHash(coefficients=(lin.b, lin.a), range_t=lin.range_t)
         rng = derived_rng(22, 0)
-        for x in rng.integers(0, DEFAULT_FIELD.p, size=10**4, dtype=np.uint64):
+        for x in rng.integers(0, P, size=10**4, dtype=np.uint64):
             assert lin(int(x)) == poly(int(x))
 
 
@@ -220,6 +236,17 @@ class TestIndependenceExact:
     def test_rejects_excessive_budget(self):
         with pytest.raises(ValueError, match="budget"):
             verify_independence_exact(101, 3, 2)
+        with pytest.raises(ValueError, match="budget"):  # refused before any primality work
+            verify_independence_exact(2**61 - 1, 3, 2)
+
+    @pytest.mark.parametrize("p", [1, 4, 9, 1001])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="not prime"):
+            verify_independence_exact(p, 1, 1)
+
+    def test_rejects_k_zero(self):
+        with pytest.raises(ValueError, match="k must be"):
+            verify_independence_exact(5, 0, 1)
 
 
 def test_mod_t_near_uniformity_small_prime():
@@ -243,7 +270,6 @@ def test_derived_streams_differ():
 # ---------------------------------------------------------------------------
 # batch kernels: hash_array must equal the scalar __call__ on every uint64 key
 
-P = MERSENNE61
 EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**60, P - 2, P - 1, P, P + 1, 2**63, 2**64 - 1]
 
 
@@ -260,8 +286,8 @@ def all_families(t, seed):
         new_polynomial(3, t, seed, stream=2),
         new_polynomial(5, t, seed, stream=3),
         new_linear(t, seed, stream=4),
-        PolynomialHash(DEFAULT_FIELD, (P - 1,) * 5, t),  # largest residues
-        PolynomialHash(DEFAULT_FIELD, (0, 1), t),  # x mod p: key p must give 0
+        PolynomialHash((P - 1,) * 5, t),  # largest residues
+        PolynomialHash((0, 1), t),  # x mod p: key p must give 0
         new_tabulation(4, 16, t.bit_length() - 1, seed, stream=5),
         new_tabulation(4, 16, 64, seed, stream=6),  # full-width output
         TrulyRandomHash(t, seed, stream=7),
@@ -292,14 +318,6 @@ class TestHashArray:
         got += [a(int(k)) for k in last]
         want = [b(int(k)) for k in np.concatenate([first, batch, last])]
         assert got == want
-
-    def test_non_mersenne_field_rejected(self):
-        field = PrimeField(31)
-        keys = np.arange(10, dtype=np.uint64)
-        with pytest.raises(ValueError):
-            PolynomialHash(field, (1, 2, 3), 4).hash_array(keys)
-        with pytest.raises(ValueError):
-            LinearHash(field, 3, 5, 4).hash_array(keys)
 
     @pytest.mark.parametrize("entry", [-1, 256, 2**64])
     def test_tabulation_entry_out_of_range(self, entry):

@@ -237,6 +237,13 @@ class TestRuns:
         wrap = build(16, {15: 15, 16: 0, 17: 1}, [15, 16, 17])
         assert run_containing(wrap, 0) == 3
 
+    @pytest.mark.parametrize("slot", [-1, 8])
+    def test_run_containing_refuses_slot_outside_table(self, slot):
+        # slot 7 is occupied, so an aliased -1 would report its run
+        table = build(8, {6: 6, 7: 7}, [6, 7])
+        with pytest.raises(ValueError):
+            run_containing(table, slot)
+
 
 class TestIntervalCounts:
     def test_empty(self):
