@@ -19,7 +19,7 @@ def main():
     t = 1 << 10
 
     print("== k-independent polynomial hashing ==")
-    print(f"default prime field: p = 2^61 - 1 = {MERSENNE61}")
+    print(f"one prime field: p = 2^61 - 1 = {MERSENNE61}")
     for k in (2, 3, 5):
         h = new_polynomial(k, t, seed=7)
         sample = [h(x) for x in range(8)]

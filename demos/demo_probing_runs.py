@@ -9,7 +9,6 @@ import numpy as np
 from linprobe import (
     ProbeTable,
     TrulyRandomHash,
-    WrappingRunError,
     check_query_run_lemma,
     check_run_lemma,
     derived_rng,
@@ -53,25 +52,18 @@ def main():
     counts = hash_counts(table)
     checked = 0
     for run in rs:
-        if run.start + run.length > t:
-            continue  # wrapping runs are outside the lemma's statement
         level = 0
         while run.length >= 1 << (level + 2):
-            assert check_run_lemma(table, run, level, counts=counts) is None
+            assert check_run_lemma(run, level, counts=counts) is None
             checked += 1
             level += 1
     print(f"verified on this table: {checked} (run, level) pairs, no counterexample")
 
     print("\nquery-run lemma: if an absent query scans far, one of 12 dyadic")
     print("intervals around it (8 left, its own, 3 right) is near-full")
-    hits = 0
     for q in rng.integers(0, 2**61 - 1, size=200, dtype=np.uint64):
-        try:
-            assert check_query_run_lemma(table, int(q), counts=counts) is None
-            hits += 1
-        except WrappingRunError:
-            pass
-    print(f"verified on {hits} of 200 random queries (rest hit the wrapping run)")
+        assert check_query_run_lemma(table, int(q), counts=counts) is None
+    print("verified on 200 random queries, no counterexample")
 
 
 if __name__ == "__main__":

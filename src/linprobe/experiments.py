@@ -88,6 +88,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
         for family in self.families:
             if family not in FAMILIES and family not in SEQ_FAMILIES:
                 raise ValueError(f"unknown hash family {family!r}")
@@ -383,8 +385,6 @@ DEFAULT_OVERRIDES = {
 
 
 def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
     return ExperimentConfig(experiment=experiment, seed=seed,
                             **DEFAULT_OVERRIDES.get(experiment, {}))
 
@@ -394,8 +394,4 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     none), and the rows do not depend on it."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    try:
-        fn = EXPERIMENTS[config.experiment]
-    except KeyError:
-        raise ValueError(f"unknown experiment {config.experiment!r}") from None
-    return fn(config, threads)
+    return EXPERIMENTS[config.experiment](config, threads)

@@ -105,10 +105,6 @@ class PolynomialHash:
         if any(not 0 <= a < MERSENNE61 for a in self.coefficients):
             raise ValueError("coefficients must be residues in [0, p)")
 
-    @property
-    def independence(self) -> int:
-        return len(self.coefficients)
-
     def eval_mod_p(self, x: int) -> int:
         """Horner evaluation mod p, before range reduction."""
         acc = 0
@@ -268,20 +264,14 @@ class TrulyRandomHash:
         """`__call__` of every uint64 key, as a uint64 array.  Keys not yet
         memoized get one batched draw in order of first occurrence, which
         equals scalar evaluation in key order."""
-        uniq, first, inverse = np.unique(
-            np.asarray(keys, dtype=np.uint64), return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        ks = uniq[order].tolist()  # distinct keys in order of first occurrence
+        ks = np.asarray(keys, dtype=np.uint64).tolist()
         with self._lock:
             memo = self._memo
-            fresh = [k for k in ks if k not in memo]
+            fresh = [k for k in dict.fromkeys(ks) if k not in memo]
             if fresh:
                 drawn = self._rng.integers(0, self.range_t, size=len(fresh))
                 memo.update(zip(fresh, drawn.tolist()))
-            values = np.empty(len(ks), dtype=np.uint64)
-            values[order] = np.fromiter(map(memo.__getitem__, ks), dtype=np.uint64,
-                                        count=len(ks))
-        return values[inverse]
+            return np.fromiter(map(memo.__getitem__, ks), dtype=np.uint64, count=len(ks))
 
 
 ENUMERATION_BUDGET = 10**6

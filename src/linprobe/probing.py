@@ -12,10 +12,9 @@ import numpy as np
 
 from .hashing import _is_pow2
 
-__all__ = ["ProbeTable", "Run", "TableFullError", "WrappingRunError",
-    "check_query_run_lemma", "check_run_lemma", "hash_counts", "interval_counts",
-    "max_run_from_counts", "near_full_threshold", "occupancy", "run_containing", "runs",
-    "table_size_for", "verify_fill_invariant"]
+__all__ = ["ProbeTable", "Run", "TableFullError", "check_query_run_lemma", "check_run_lemma",
+    "hash_counts", "interval_counts", "max_run_from_counts", "near_full_threshold", "occupancy",
+    "run_containing", "runs", "table_size_for", "verify_fill_invariant"]
 
 
 class SearchResult(NamedTuple):
@@ -218,8 +217,8 @@ def runs(table: ProbeTable) -> list[Run]:
     return [Run(int(start), int(length)) for start, length in zip(*_run_bounds(occupied))]
 
 
-def _run_at(table: ProbeTable, slot: int) -> Run:
-    """The run covering `slot` (in [0, t)), or Run(slot, 0) if the slot is
+def run_containing(table: ProbeTable, slot: int) -> int:
+    """Length of the run covering `slot` (in [0, t)); 0 if the slot is
     empty.  Requires at least one empty slot."""
     if not 0 <= slot < table.t:
         raise ValueError(f"slot {slot} outside [0, {table.t})")
@@ -227,17 +226,12 @@ def _run_at(table: ProbeTable, slot: int) -> Run:
         raise TableFullError("a full table has no maximal runs")
     slots, mask = table.slots, table.t - 1
     if slots[slot] is None:
-        return Run(slot, 0)
+        return 0
     start = slot
     while slots[(start - 1) & mask] is not None:
         start = (start - 1) & mask
     # a scan for None runs to the first empty slot
-    return Run(start, _scan(slots, mask, start, None)[2] - 1)
-
-
-def run_containing(table: ProbeTable, slot: int) -> int:
-    """Length of the run covering `slot` (in [0, t)); 0 if the slot is empty."""
-    return _run_at(table, slot).length
+    return _scan(slots, mask, start, None)[2] - 1
 
 
 def max_run_from_counts(counts: np.ndarray) -> int:
@@ -259,57 +253,54 @@ def interval_counts(counts: np.ndarray, level: int) -> np.ndarray:
     return counts.reshape(-1, 1 << level).sum(axis=1)
 
 
-class WrappingRunError(ValueError):
-    """Raised for analytics that are only defined on non-wrapping runs."""
+def _intervals(counts: np.ndarray, level: int, first: int, count: int):
+    """Indices and hash counts of `count` consecutive aligned 2^level-slot
+    intervals from interval `first` on, read cyclically modulo
+    m = t >> level; each interval appears at most once, so at most m."""
+    rows = counts.reshape(-1, 1 << level)
+    idx = np.arange(first, first + min(count, len(rows))) % len(rows)
+    return idx, rows[idx].sum(axis=1)
 
 
-def check_run_lemma(table: ProbeTable, run: Run, level: int, counts: np.ndarray):
-    """For a non-wrapping run of length >= 2^(level+2), verify that one of
-    the first four level-intervals intersecting it is near-full.
+def check_run_lemma(run: Run, level: int, counts: np.ndarray):
+    """For a run of length >= 2^(level+2) in the table whose per-slot hash
+    histogram is `counts`, verify that one of the first four level-intervals
+    intersecting it (cyclically) is near-full.
 
     Returns None on success, or a counterexample dict.
     """
     if run.length < 1 << (level + 2):
         raise ValueError(f"run length {run.length} < 2^{level + 2}")
-    if run.start + run.length > table.t:
-        raise WrappingRunError("run wraps past the last slot")
-    first = run.start >> level
+    idx, observed = _intervals(counts, level, run.start >> level, 4)
     threshold = near_full_threshold(level)
-    observed = interval_counts(counts[first << level : (first + 4) << level], level).tolist()
-    if max(observed) >= threshold:
+    if observed.max() >= threshold:
         return None
     return {
         "run": run,
         "level": level,
-        "intervals": list(range(first, first + 4)),
-        "counts": observed,
+        "intervals": idx.tolist(),
+        "counts": observed.tolist(),
         "threshold": threshold,
     }
 
 
 def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
-    """For a query key q whose (non-wrapping) run has length r >= 4, with
-    level l chosen so r is in [2^(l+2), 2^(l+3)), verify that one of the
-    12 l-intervals around the one containing h(q) (8 left, own, 3 right)
-    is near-full, not counting q itself.
+    """For a query key q whose run has length r >= 4, with level l chosen
+    so r is in [2^(l+2), 2^(l+3)), verify that one of the 12 l-intervals
+    around the one containing h(q) (8 left, own, 3 right, cyclically) is
+    near-full, not counting q itself.
 
-    Returns None on success or when no level applies; raises
-    WrappingRunError for wrapping runs; returns a counterexample dict on
-    failure.
+    Returns None on success or when no level applies, else a
+    counterexample dict.
     """
     hq = table.hash_fn(q)
-    run = _run_at(table, hq)
-    r = run.length
+    r = run_containing(table, hq)
     if r < 4:
         return None
     level = r.bit_length() - 3  # largest l with 2^(l+2) <= r
     assert 1 << (level + 2) <= r < 1 << (level + 3)
-    if run.start + run.length > table.t:
-        raise WrappingRunError("run containing h(q) wraps")
-    own = hq >> level
-    lo = max(own - 8, 0)
-    window = interval_counts(counts[lo << level : (own + 4) << level], level)
-    window[own - lo] -= table.search(q).found  # q's own hash is not counted
+    idx, window = _intervals(counts, level, (hq >> level) - 8, 12)
+    window[8 % len(idx)] -= table.search(q).found  # q's own hash is not counted
     threshold = near_full_threshold(level)
     if window.max() >= threshold:
         return None
@@ -317,7 +308,7 @@ def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
         "query": q,
         "run_length": r,
         "level": level,
-        "counts": list(enumerate(window.tolist(), lo)),
+        "counts": list(zip(idx.tolist(), window.tolist())),
         "threshold": threshold,
     }
 

@@ -16,9 +16,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEMO_SHA256 = {
     "demo_experiments.py": "ae488cc73cb73fdc0452e7a4141fea64f9b9ac1b05814c19dd4c88b3fd5ba3ce",
-    "demo_hash_families.py": "6a820d07363155eb4b79f34f810dd33d9c46d27ba07736604852ea65c10c3426",
+    "demo_hash_families.py": "28fe0f5ba274d72de10b622e9fe2b7618d0d0e9757db5be16cb1230b43f9848e",
     "demo_moment_bounds.py": "279ab7589c18f0426b8a1189104fc6096dcbdaeafe99c11880affef7226f929f",
-    "demo_probing_runs.py": "0a500b5afb213541015707d0e1b7601b09cd04c9c0f8f49c910fd77997125cb9",
+    "demo_probing_runs.py": "36093eac3173b6d6d18e25ce7699a909dc3e5b3ef9855ac9b54d92a77acb2ce8",
     "demo_signature_filter.py": "b8026887fd095adfcf40d2cb2f47320370df2e2fa641cbacbeb12efc73fcfa0e",
 }
 

@@ -58,8 +58,10 @@ class TestConfig:
             ExperimentConfig(experiment="filter_fpr", modes=("bloom",))
 
     def test_unknown_experiment(self):
-        with pytest.raises(ValueError):
-            run_experiment(ExperimentConfig(experiment="nope"))
+        with pytest.raises(ValueError, match="unknown experiment 'nope'"):
+            ExperimentConfig(experiment="nope")
+        with pytest.raises(ValueError, match="unknown experiment 'nope'"):
+            ExperimentConfig.from_dict({"experiment": "nope"})
 
     def test_defaults_exist_for_every_experiment(self):
         for name in EXPERIMENTS:

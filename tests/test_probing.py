@@ -22,7 +22,6 @@ from linprobe.probing import (
     runs,
     table_size_for,
     verify_fill_invariant,
-    _run_at,
     _scan,
     _scan_found,
 )
@@ -263,23 +262,21 @@ class TestIntervalCounts:
 class TestRunLemma:
     def test_minimal_run(self):
         table = build(16, {i: 2 for i in [1, 2, 3, 4]}, [1, 2, 3, 4])
-        assert check_run_lemma(table, runs(table)[0], 0, hash_counts(table)) is None
+        assert check_run_lemma(runs(table)[0], 0, hash_counts(table)) is None
 
     def test_precondition(self):
         table = build(16, {i: 2 for i in [1, 2, 3]}, [1, 2, 3])
         with pytest.raises(ValueError):
-            check_run_lemma(table, runs(table)[0], 1, hash_counts(table))
+            check_run_lemma(runs(table)[0], 1, hash_counts(table))
 
     def test_monte_carlo_no_counterexamples(self):
         for seed in range(30):
             table, _ = random_table(1 << 10, 2 / 3, seed=seed)
             counts = hash_counts(table)
             for run in runs(table):
-                if run.start + run.length > table.t:
-                    continue
                 level = 0
                 while run.length >= 1 << (level + 2):
-                    assert check_run_lemma(table, run, level, counts=counts) is None
+                    assert check_run_lemma(run, level, counts=counts) is None
                     level += 1
 
     def test_query_run_lemma_monte_carlo(self):
@@ -288,12 +285,45 @@ class TestRunLemma:
             counts = hash_counts(table)
             rng = derived_rng(200 + seed, 0)
             for q in rng.integers(0, 2**61 - 1, size=30, dtype=np.uint64):
-                q = int(q)
-                try:
-                    assert check_query_run_lemma(table, q, counts=counts) is None
-                except Exception as exc:
-                    if exc.__class__.__name__ != "WrappingRunError":
-                        raise
+                assert check_query_run_lemma(table, int(q), counts=counts) is None
+
+    def test_run_wrapping_past_last_slot(self):
+        # six keys hashed to slot 14 fill slots 14, 15, 0, 1, 2, 3
+        table = ProbeTable(16, FixedHash(16, {100: 0}, default=14))
+        for x in range(6):
+            table.insert(x)
+        (run,) = runs(table)
+        assert run == Run(14, 6)
+        counts = hash_counts(table)
+        assert check_run_lemma(run, 0, counts) is None
+        assert check_query_run_lemma(table, 100, counts) is None
+
+    def test_query_run_lemma_wrapped_window(self):
+        # h(5) = 63 in a run over slots 62, 63, 0, 1: the 12 intervals run
+        # from 55 past slot 63 to 2, and only 5's own hash lies among them
+        table = ProbeTable(64, FixedHash(64, {5: 63}, default=40))
+        table.slots[62:] = [1, 5]
+        table.slots[:2] = [2, 3]
+        table.n = 4
+        assert check_query_run_lemma(table, 5, hash_counts(table)) == {
+            "query": 5,
+            "run_length": 4,
+            "level": 0,
+            "counts": [(i, 0) for i in [*range(55, 64), 0, 1, 2]],
+            "threshold": 1,
+        }
+
+    def test_query_run_lemma_fewer_than_12_intervals(self):
+        # a run of 9 over slots 0-8 is level 1 at t = 16: 8 intervals, each
+        # listed once, so q's own hash is subtracted from its only copy
+        mapping = {k: 2 * k for k in range(8)}
+        mapping[8] = 1
+        table = ProbeTable(16, FixedHash(16, mapping))
+        table.slots[:9] = range(9)
+        table.n = 9
+        cex = check_query_run_lemma(table, 8, hash_counts(table))
+        assert cex["level"] == 1 and cex["threshold"] == 2
+        assert cex["counts"] == [(i, 1) for i in range(8)]
 
     @pytest.mark.parametrize("q,stored", [(100, False), (3, True)])
     def test_query_run_lemma_searches_once(self, monkeypatch, q, stored):
@@ -452,9 +482,9 @@ def test_occupancy_matches_built_table(case):
     for r in rs:
         assert (r.start - 1) % t not in occupied
         assert (r.start + r.length) % t not in occupied
-    covering = {(r.start + i) % t: r for r in rs for i in range(r.length)}
+    covering = {(r.start + i) % t: r.length for r in rs for i in range(r.length)}
     for s in range(t):
-        assert _run_at(table, s) == covering.get(s, Run(s, 0))
+        assert run_containing(table, s) == covering.get(s, 0)
     assert max_run_from_counts(counts) == max((r.length for r in rs), default=0)
     for level in range(t.bit_length()):
         width = 1 << level
