@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from collections import Counter
 from dataclasses import dataclass, field
@@ -106,8 +107,9 @@ class PolynomialHash:
             raise ValueError("coefficients must be residues in [0, p)")
 
     def eval_mod_p(self, x: int) -> int:
-        """Horner evaluation mod p, before range reduction."""
-        acc = 0
+        """Horner evaluation mod p, before range reduction, of a Python or
+        numpy integer x (as a Python int: numpy would multiply modulo 2^64)."""
+        x, acc = operator.index(x), 0
         for a in reversed(self.coefficients):
             acc = (acc * x + a) % MERSENNE61
         return acc
@@ -152,7 +154,7 @@ class LinearHash:
             raise ValueError("a, b must be residues in [0, p)")
 
     def __call__(self, x: int) -> int:
-        return (self.a * x + self.b) % MERSENNE61 & (self.range_t - 1)
+        return (self.a * operator.index(x) + self.b) % MERSENNE61 & (self.range_t - 1)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every uint64 key, as a uint64 array."""

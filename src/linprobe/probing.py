@@ -158,9 +158,6 @@ class ProbeTable:
         slots[hole] = None
         self.n -= 1
 
-    def occupied_set(self) -> frozenset[int]:
-        return frozenset(i for i, s in enumerate(self.slots) if s is not None)
-
 
 def verify_fill_invariant(table: ProbeTable):
     """Check that every stored key's cyclic path from its hash slot to its

@@ -23,6 +23,7 @@ from linprobe.hashing import TrulyRandomHash, derived_rng
 from linprobe.probing import ProbeTable, occupancy, runs
 
 import numpy as np
+from probe_model import carry_model
 
 
 def tiny_config(experiment, **over):
@@ -137,21 +138,26 @@ class TestProbeCost:
         assert any(r.metric == "search_absent_probes_mean" for r in rows)
 
 
+def absent_queries(keys, seed, stream, queries):
+    """The trial's absent queries: uniform draws, less the stored keys."""
+    stored = set(keys)
+    rng = derived_rng(seed, stream)
+    absent = []
+    while len(absent) < queries:
+        for q in rng.integers(0, 2**61 - 1, size=queries - len(absent), dtype=np.uint64):
+            if int(q) not in stored:
+                absent.append(int(q))
+    return absent
+
+
 def scalar_probe_cost_trial(family, n, t, seed, stream, queries):
     """The per-key reference: each key hashed by the table on insert, each
-    absent query drawn, hashed and searched in turn."""
+    absent query hashed and searched in turn."""
     h = make_family(family, t, seed, stream)
     keys = experiments.trial_keys(family, n, seed, stream + 1)
     table = ProbeTable(t, h)
     ins = [table.insert(x)[1] for x in keys]
-    stored = set(keys)
-    rng = derived_rng(seed, stream + 2)
-    srch = []
-    while len(srch) < queries:
-        for q in rng.integers(0, 2**61 - 1, size=queries - len(srch), dtype=np.uint64):
-            if int(q) not in stored:
-                srch.append(table.search(int(q)).probes)
-    return ins, srch
+    return ins, [table.search(q).probes for q in absent_queries(keys, seed, stream + 2, queries)]
 
 
 # each side draws its own hash function: the random family's draw order is
@@ -161,6 +167,21 @@ def scalar_probe_cost_trial(family, n, t, seed, stream, queries):
 def test_probe_cost_trial_matches_scalar_build(family, n, t):
     ins, srch = experiments._probe_cost_trial(family, n, t, 7, 3, 300)
     assert (ins.tolist(), srch.tolist()) == scalar_probe_cost_trial(family, n, t, 7, 3, 300)
+
+
+@pytest.mark.parametrize("family", experiments.FAMILIES + experiments.SEQ_FAMILIES)
+@pytest.mark.parametrize("n,t", [(3, 4), (700, 1024), (8192, 16384)])
+def test_probe_cost_trial_matches_carry_model(family, n, t):
+    # order-free: the insert probes sum to n + the total carry of the keys'
+    # hash histogram, and an absent search takes 1 + the distance from its
+    # start to the next empty slot
+    ins, srch = experiments._probe_cost_trial(family, n, t, 7, 3, 300)
+    keys = experiments.trial_keys(family, n, 7, 4)
+    batch = np.array(keys + absent_queries(keys, 7, 5, 300), dtype=np.uint64)
+    starts = make_family(family, t, 7, 3).hash_array(batch).astype(np.int64)
+    total_carry, to_empty = carry_model(np.bincount(starts[:n], minlength=t))
+    assert ins.sum() == n + total_carry
+    assert srch.tolist() == [1 + to_empty[s] for s in starts[n:]]
 
 
 class RecordingPool:

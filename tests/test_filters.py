@@ -23,6 +23,7 @@ from linprobe.hashing import (
     new_polynomial,
 )
 from linprobe.probing import ProbeTable, TableFullError, table_size_for
+from probe_model import carry_model
 
 
 class FixedHash:
@@ -200,6 +201,22 @@ def test_measure_fpr_matches_scalar_rebuild(mode, t, b, data):
     rep = measure_fpr(t, b, mode, n, trials, seed, stream=stream)
     assert (rep.false_positives, rep.mean_scan_keys) == scalar_fpr(t, b, mode, n, trials, seed,
                                                                    stream)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("t,n", [(8, 4), (8, 7), (64, 42), (64, 63), (1 << 12, 2730),
+                                 (1 << 12, (1 << 12) - 1)])
+@pytest.mark.parametrize("b", [4, 8])
+def test_measure_fpr_scan_keys_match_carry_model(mode, t, n, b):
+    # order-free: a query scans the keys from its start slot to the next
+    # empty slot of the table whose hash histogram is that of the stored starts
+    seed, stream, trials = 40 + t + n + b, 9, 500
+    place = make_filter(t, b, mode, seed, stream=stream).place
+    keys = sample_distinct_keys(derived_rng(seed, stream + 1_000_003), n + trials, P)
+    starts = [place(x)[0] for x in keys]
+    _, to_empty = carry_model(np.bincount(starts[:n], minlength=t))
+    rep = measure_fpr(t, b, mode, n, trials, seed, stream=stream)
+    assert rep.mean_scan_keys == sum(to_empty[s] for s in starts[n:]) / trials
 
 
 class TestMeasureFpr:

@@ -16,6 +16,7 @@ from linprobe.hashing import (
     verify_independence_exact,
 )
 from linprobe.filters import sample_distinct_keys
+from linprobe.probing import ProbeTable
 
 
 P = MERSENNE61
@@ -324,6 +325,24 @@ class TestHashArray:
         with pytest.raises(ValueError):
             TabulationHash(char_count=1, char_bits=2, output_bits=8,
                            tables=((0, 1, 2, entry),))
+
+
+@pytest.mark.filterwarnings("error")  # an overflow warning fails the test
+@pytest.mark.parametrize("family", ["poly1", "poly2", "poly3", "poly5", "linear"])
+def test_scalar_hash_takes_numpy_integers(family):
+    # a numpy key is evaluated as the Python int it stands for, not in
+    # wrapping 64-bit arithmetic, and lands in the same table slot
+    t = 2**13
+    h = new_linear(t, 8) if family == "linear" else new_polynomial(int(family[-1]), t, 8)
+    keys = batch_keys(9).tolist()
+    batch = h.hash_array(np.array(keys, dtype=np.uint64)).tolist()
+    for k, want in zip(keys, batch):
+        assert h(np.uint64(k)) == h(k) == want
+        if k < 2**63:
+            assert h(np.int64(k)) == want
+        assert ProbeTable(t, h).insert(np.uint64(k)) == (want, 1)
+    with pytest.raises(TypeError):
+        h(1.0)
 
 
 def sample_distinct_keys_loop(rng, count, bound):

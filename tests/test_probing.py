@@ -46,7 +46,26 @@ def build(t, mapping, keys):
     return table
 
 
+def rebuild(table, keys):
+    """A fresh table with `table`'s size and hash, holding `keys` inserted in
+    the given order: the slots any sequence of inserts and deletes must
+    leave, for the live keys in their insertion order."""
+    fresh = ProbeTable(table.t, table.hash_fn)
+    for x in keys:
+        fresh.insert(x)
+    return fresh
+
+
+def checked_mask(table):
+    """The table's occupied-slot mask, after asserting that it equals the
+    order-free model `occupancy(hash_counts(table))`."""
+    mask = [s is not None for s in table.slots]
+    assert occupancy(hash_counts(table)).tolist() == mask
+    return mask
+
+
 def random_table(t, load, seed, family="random"):
+    """A table at the given load, and its keys in insertion order."""
     n = int(t * load)
     if family == "random":
         h = TrulyRandomHash(t, seed)
@@ -57,9 +76,10 @@ def random_table(t, load, seed, family="random"):
     keys = set()
     while len(keys) < n:
         keys.update(int(k) for k in rng.integers(0, 2**61 - 1, size=n - len(keys), dtype=np.uint64))
-    for x in keys:
+    order = list(keys)
+    for x in order:
         table.insert(x)
-    return table, keys
+    return table, order
 
 
 class TestInsertSearch:
@@ -154,26 +174,23 @@ class TestDelete:
 
     def test_random_deletion_matches_rebuild(self):
         table, keys = random_table(256, 0.4, seed=13)
-        order = list(keys)
-        derived_rng(14, 0).shuffle(order)
-        remaining = set(keys)
-        for x in order:
+        doomed = list(keys)
+        derived_rng(14, 0).shuffle(doomed)
+        live = dict.fromkeys(keys)  # insertion order
+        for x in doomed:
             table.delete(x)
-            remaining.discard(x)
+            del live[x]
             assert verify_fill_invariant(table) is None
-            fresh = ProbeTable(table.t, table.hash_fn)
-            for y in remaining:
-                fresh.insert(y)
-            assert table.occupied_set() == fresh.occupied_set()
+            assert table.slots == rebuild(table, live).slots
 
     def test_delete_undoes_insert(self):
         table, keys = random_table(128, 0.5, seed=15)
-        before = table.occupied_set()
+        before = list(table.slots)
         x = 2**60 + 123
         assert x not in keys
         table.insert(x)
         table.delete(x)
-        assert table.occupied_set() == before
+        assert table.slots == before
 
 
 class TestFillInvariant:
@@ -375,10 +392,10 @@ class TestOrderIndependence:
             table = ProbeTable(16, h)
             for x in perm:
                 table.insert(x)
-            occ = table.occupied_set()
+            mask = checked_mask(table)
             if reference is None:
-                reference = occ
-            assert occ == reference
+                reference = mask
+            assert mask == reference
 
     def test_random_permutations_hundred_keys(self):
         h = TrulyRandomHash(256, seed=37)
@@ -386,7 +403,7 @@ class TestOrderIndependence:
         base = ProbeTable(256, h)
         for x in keys:
             base.insert(x)
-        reference = base.occupied_set()
+        reference = checked_mask(base)
         rng = derived_rng(38, 0)
         for _ in range(100):
             order = list(keys)
@@ -394,7 +411,7 @@ class TestOrderIndependence:
             table = ProbeTable(256, h)
             for x in order:
                 table.insert(x)
-            assert table.occupied_set() == reference
+            assert checked_mask(table) == reference
 
 
 @st.composite
@@ -402,7 +419,7 @@ def op_sequences(draw):
     """A table size t, the hash slot of each key 0..40 (None: truly random
     hashing) and an operation sequence.  The small tables use a fixed-slot
     hash, so runs wrap past slot t - 1 and the table fills to n = t - 1."""
-    t = draw(st.sampled_from([4, 8, 64]))
+    t = draw(st.sampled_from([4, 8, 16, 64]))
     slots = None if t == 64 else draw(st.lists(st.integers(0, t - 1), min_size=41,
                                                 max_size=41))
     ops = draw(st.lists(st.tuples(st.sampled_from(["ins", "del", "search"]),
@@ -420,7 +437,9 @@ def test_hypothesis_fill_invariant_and_model(case):
     t, slots, ops = case
     h = TrulyRandomHash(t, seed=91) if slots is None else FixedHash(t, dict(enumerate(slots)))
     table = ProbeTable(t, h)
-    model = set()
+    # the live keys in insertion order; after every operation the slots
+    # equal their fresh build in that order
+    model = {}
     # the filter with injective signatures (s = identity) answers exactly;
     # it has no delete, so its model only grows
     flt = SignatureFilter(t, lambda x: (h(x), x))
@@ -430,7 +449,7 @@ def test_hypothesis_fill_invariant_and_model(case):
             if x in model or len(model) < t - 1:
                 pos, _ = table.insert(x)
                 assert table.slots[pos] == x
-                model.add(x)
+                model.setdefault(x)  # a present key keeps its place in the order
             else:
                 with pytest.raises(TableFullError):
                     table.insert(x)
@@ -443,7 +462,7 @@ def test_hypothesis_fill_invariant_and_model(case):
         elif op == "del":
             if x in model:
                 table.delete(x)
-                model.discard(x)
+                del model[x]
             else:
                 with pytest.raises(KeyError):
                     table.delete(x)
@@ -451,8 +470,10 @@ def test_hypothesis_fill_invariant_and_model(case):
             assert table.search(x).found == (x in model)
             assert flt.query(x) == (x in flt_model)
         assert verify_fill_invariant(table) is None
+        assert table.slots == rebuild(table, model).slots
         assert table.n == len(model) and flt.n == len(flt_model)
-    assert set(table.keys()) == model
+    assert set(table.keys()) == set(model)
+    checked_mask(table)
     assert {s for s in flt.slots if s is not None} == flt_model
 
 
@@ -474,7 +495,7 @@ def test_occupancy_matches_built_table(case):
     t, slots = case
     table = build(t, dict(enumerate(slots)), range(len(slots)))
     counts = np.bincount(np.array(slots, dtype=np.int64), minlength=t)
-    occupied = table.occupied_set()
+    occupied = {s for s, x in enumerate(table.slots) if x is not None}
     assert set(np.flatnonzero(occupancy(counts))) == occupied
     rs = runs(table)
     covered = [(r.start + i) % t for r in rs for i in range(r.length)]
