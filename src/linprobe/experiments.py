@@ -22,6 +22,8 @@ import numpy as np
 from .filters import MODES, _check_paired_width, measure_fpr, sample_distinct_keys
 from .hashing import (
     MERSENNE61,
+    TABULATION_CHAR_BITS,
+    TABULATION_CHARS,
     TrulyRandomHash,
     derived_rng,
     derived_seed,
@@ -42,9 +44,6 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "Row", "default_config", "make_fam
 
 FAMILIES = ("poly2", "poly3", "poly5", "linear", "tabulation", "random")
 SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead of uniform
-
-TABULATION_CHARS = 4
-TABULATION_CHAR_BITS = 16
 
 MAX_RUN_SLACK = 16  # test constant for the max-run O(log n) claim
 THREE_INDEP_SLACK = 8  # test constant for the 3-independent O(log n) claim

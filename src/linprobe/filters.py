@@ -12,13 +12,15 @@ import numpy as np
 
 from .hashing import (
     MERSENNE61,
+    TABULATION_CHAR_BITS,
+    TABULATION_CHARS,
     derived_rng,
     new_polynomial,
     new_tabulation,
     _is_pow2,
     _mersenne_horner,
 )
-from .probing import ProbeTable, TableFullError, _scan, _scan_found
+from .probing import ProbeTable, TableFullError, _scan_found
 
 __all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr",
     "sample_distinct_keys", "scan_keys", "subsequence_scan_check"]
@@ -27,8 +29,8 @@ MODES = ("independent", "paired", "hash_of_signature", "tabulation_paired")
 
 
 class SignatureFilter:
-    """The linear probing scan of `ProbeTable`, storing the signature s(x)
-    in place of x, from the start slot h(x); `place(x)` gives (h(x), s(x)).
+    """A `ProbeTable` of signatures: x is stored as s(x), scanned from the
+    start slot h(x); `place(x)` gives (h(x), s(x)).
 
     Empty slots are None, so every signature value is legal; a reserved
     nil-signature would skew the false-positive rate by 2^-b.  There is
@@ -37,32 +39,24 @@ class SignatureFilter:
     """
 
     def __init__(self, t: int, place: Callable[[int], tuple[int, int]]):
-        if not _is_pow2(t):
-            raise ValueError(f"filter size {t} must be a nonzero power of two")
-        self.t = t
+        self.table = ProbeTable(t, None)
         self.place = place
-        self.slots: list[Optional[int]] = [None] * t
-        self.n = 0
 
-    def insert(self, x: int, placed: Optional[tuple[int, int]] = None) -> bool:
+    def insert(self, x: int) -> bool:
         """Insert x; returns False if x was already positive (its signature
-        occurs on the scan path), in which case nothing is written.
-        `placed` is place(x) precomputed, else it is evaluated."""
-        if self.n >= self.t - 1:
+        occurs on the scan path), in which case nothing is written."""
+        table, n = self.table, self.table.n
+        if n >= table.t - 1:
             raise TableFullError("cannot insert into a full filter")
-        start, sig = self.place(x) if placed is None else placed
-        found, i, _ = _scan(self.slots, self.t - 1, start, sig)
-        if found:
-            return False
-        self.slots[i] = sig
-        self.n += 1
-        return True
+        start, sig = self.place(x)
+        table.insert(sig, start)
+        return table.n > n
 
     def query(self, q: int) -> bool:
         """True iff s(q) appears among the signatures scanned from the start
         slot to the first empty slot."""
         start, sig = self.place(q)
-        return _scan(self.slots, self.t - 1, start, sig)[0]
+        return self.table.search(sig, start).found
 
 
 def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> SignatureFilter:
@@ -106,7 +100,8 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
         if mode == "paired":
             wide = new_polynomial(5, t << b, seed, stream=stream)
         else:  # tabulation_paired
-            wide = new_tabulation(4, 16, log_t + b, seed, stream=stream)
+            wide = new_tabulation(TABULATION_CHARS, TABULATION_CHAR_BITS, log_t + b, seed,
+                                  stream=stream)
 
         def place(x: int) -> tuple[int, int]:
             return divmod(wide(x), 1 << b)
@@ -167,25 +162,24 @@ def measure_fpr(
     *,
     stream: int = 0,
 ) -> FprReport:
-    """Build a filter over n random keys and measure the false-positive
+    """Build a filter over n random keys, as a `ProbeTable` of signatures
+    inserted at their batch-placed starts, and measure the false-positive
     rate on `trials` non-member queries.
 
-    A shadow exact table using the same placement hash records, per query,
-    the number of keys on the scan path from the query's start slot to the
-    first empty slot; the mean is the scale of the theoretical FPR bound.
+    A shadow table of the keys at the same starts counts, per query, the
+    keys scanned to the first empty slot; their mean scales the FPR bound.
     """
     if n >= t:
         raise ValueError("filter must keep at least one empty slot")
     if trials < 1:
         raise ValueError("need at least one query")
-    place, place_array = _placement(t, b, mode, seed, stream)
-    flt = SignatureFilter(t, place)
-    shadow = ProbeTable(t, lambda x: place(x)[0])
+    place_array = _placement(t, b, mode, seed, stream)[1]
+    flt, shadow = ProbeTable(t, None), ProbeTable(t, None)
     rng = derived_rng(seed, stream + 1_000_003)
     keys = sample_distinct_keys(rng, n + trials, MERSENNE61)
     starts, sigs = place_array(np.array(keys, dtype=np.uint64))  # every key in one batch
     for x, start, sig in zip(keys[:n], starts[:n].tolist(), sigs[:n].tolist()):
-        flt.insert(x, (start, sig))
+        flt.insert(sig, start)
         shadow.insert(x, start)
     false_pos = int(_scan_found(flt.slots, starts[n:], sigs[n:]).sum())
     scan_total = sum(shadow.search(q, start).probes - 1
@@ -205,11 +199,8 @@ def measure_fpr(
 def scan_keys(table: ProbeTable, start: int) -> list[int]:
     """Keys encountered scanning cyclically from slot `start` (in [0, t))
     to the first empty slot, in scan order."""
-    if not 0 <= start < table.t:
-        raise ValueError(f"slot {start} outside [0, {table.t})")
-    mask = table.t - 1
-    probes = _scan(table.slots, mask, start, None)[2]  # a scan for None ends at an empty slot
-    return [table.slots[(start + k) & mask] for k in range(probes - 1)]
+    probes = table.search(None, start).probes  # a search for None ends at an empty slot
+    return [table.slots[(start + k) & (table.t - 1)] for k in range(probes - 1)]
 
 
 def subsequence_scan_check(

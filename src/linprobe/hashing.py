@@ -25,6 +25,8 @@ __all__ = ["MERSENNE61", "LinearHash", "PolynomialHash", "TabulationHash", "Trul
 
 # The one modulus of polynomial hashing: the Mersenne prime 2^61 - 1.
 MERSENNE61 = (1 << 61) - 1
+# The tabulation shape of the experiments and filters: a 64-bit key as 4 16-bit characters.
+TABULATION_CHARS, TABULATION_CHAR_BITS = 4, 16
 
 
 def derived_rng(root_seed: int, stream: int) -> np.random.Generator:

@@ -90,7 +90,8 @@ class ProbeTable:
     """Open-addressing hash table with cyclic linear probing.
 
     Probe counts include the terminating slot (empty or match), so they
-    are always >= 1.  Duplicate inserts are no-ops.
+    are always >= 1.  Duplicate inserts are no-ops.  A precomputed `start`
+    outside [0, t) is refused; `hash_fn` may be None when every call has one.
     """
 
     def __init__(self, t: int, hash_fn):
@@ -116,6 +117,8 @@ class ProbeTable:
         """
         if start is None:
             start = self.hash_fn(x)
+        elif not 0 <= start < self.t:
+            raise ValueError(f"start slot {start} outside [0, {self.t})")
         found, i, probes = _scan(self.slots, self.t - 1, start, x)
         if not found:
             if self.n >= self.t - 1:
@@ -131,6 +134,8 @@ class ProbeTable:
         absent search of as many probes."""
         if start is None:
             start = self.hash_fn(x)
+        elif not 0 <= start < self.t:
+            raise ValueError(f"start slot {start} outside [0, {self.t})")
         found, i, probes = _scan(self.slots, self.t - 1, start, x)
         return SearchResult(True, i, probes) if found else _absent(probes)
 

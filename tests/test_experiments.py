@@ -1,8 +1,6 @@
 import json
-import math
 import os
 import types
-from dataclasses import replace
 
 import pytest
 

@@ -45,15 +45,15 @@ class TestInsertQuery:
     def test_insert_into_empty(self):
         f = fixed_filter(hmap={42: 5})
         assert f.insert(42)
-        assert [i for i, s in enumerate(f.slots) if s is not None] == [5]
-        assert f.slots[5] == 42 % 7
+        assert [i for i, s in enumerate(f.table.slots) if s is not None] == [5]
+        assert f.table.slots[5] == 42 % 7
 
     def test_colliding_signature_is_already_positive(self):
         f = fixed_filter(hmap={1: 5, 2: 5}, smap={1: 9, 2: 9})
         assert f.insert(1)
-        before = list(f.slots)  # empty slots are None
+        before = list(f.table.slots)  # empty slots are None
         assert not f.insert(2)
-        assert f.slots == before
+        assert f.table.slots == before
 
     def test_no_false_negatives(self):
         f = make_filter(1 << 8, 4, "independent", seed=3)
@@ -156,8 +156,20 @@ def test_place_evaluated_once_per_operation():
     assert f.insert(3) and calls == [3]
     assert f.query(11) is False and calls == [3, 11]
     assert f.query(3) and calls == [3, 11, 3]
-    assert f.insert(12, (4, 2)) and calls == [3, 11, 3]  # placed precomputed: none
-    assert f.slots[4] == 2
+
+
+@pytest.mark.parametrize("op", ["insert", "query"])
+@pytest.mark.parametrize("start", [-1, 8])
+def test_filter_refuses_start_outside_table(op, start):
+    # without the check, start -1 would alias slot 7: an insert would store
+    # its signature there, and a query for key 2 would find key 1's signature
+    f = SignatureFilter(8, lambda x: (7, 3) if x == 1 else (start, 3))
+    if op == "query":
+        f.insert(1)
+    before = (list(f.table.slots), f.table.n)
+    with pytest.raises(ValueError, match="outside"):
+        getattr(f, op)(2)
+    assert (f.table.slots, f.table.n) == before
 
 
 P = 2**61 - 1
@@ -358,11 +370,9 @@ def test_shadow_scan_contains_filter_scan():
     f = make_filter(t, 4, "independent", seed=51)
     shadow = ProbeTable(t, lambda x: f.place(x)[0])
     keys = sample_distinct_keys(derived_rng(52, 0), 150, 2**61 - 1)
-    inserted_at = {}
     for x in keys:
         shadow.insert(x)
-        if f.insert(x):
-            pass
+        f.insert(x)
     queries = sample_distinct_keys(derived_rng(53, 0), 500, 2**61 - 1)
     for q in set(queries) - set(keys):
         start, sig = f.place(q)

@@ -154,6 +154,20 @@ class TestInsertSearch:
         with pytest.raises(TableFullError):
             table.insert(103)
 
+    @pytest.mark.parametrize("op", ["insert", "search"])
+    @pytest.mark.parametrize("start", [-1, 8])
+    def test_precomputed_start_outside_table_refused(self, op, start):
+        # without the check, start -1 would alias slot 7 (insert(5, -1) storing
+        # 5 there, search(5, -1) finding it at position -1), and start 8 would
+        # index past the slots
+        table = ProbeTable(8, lambda x: 0)
+        if op == "search":
+            table.insert(5, 7)
+        before = (list(table.slots), table.n)
+        with pytest.raises(ValueError, match="outside"):
+            getattr(table, op)(5, start)
+        assert (table.slots, table.n) == before
+
 
 class TestDelete:
     def test_single_key(self):
@@ -441,9 +455,9 @@ def test_hypothesis_fill_invariant_and_model(case):
     # equal their fresh build in that order
     model = {}
     # the filter with injective signatures (s = identity) answers exactly;
-    # it has no delete, so its model only grows
+    # it has no delete, so its model (keys in first-insert order) only grows
     flt = SignatureFilter(t, lambda x: (h(x), x))
-    flt_model = set()
+    flt_model = {}
     for op, x in ops:
         if op == "ins":
             if x in model or len(model) < t - 1:
@@ -455,7 +469,7 @@ def test_hypothesis_fill_invariant_and_model(case):
                     table.insert(x)
             if len(flt_model) < t - 1:
                 assert flt.insert(x) == (x not in flt_model)
-                flt_model.add(x)
+                flt_model.setdefault(x)
             else:
                 with pytest.raises(TableFullError):
                     flt.insert(x)
@@ -471,10 +485,11 @@ def test_hypothesis_fill_invariant_and_model(case):
             assert flt.query(x) == (x in flt_model)
         assert verify_fill_invariant(table) is None
         assert table.slots == rebuild(table, model).slots
-        assert table.n == len(model) and flt.n == len(flt_model)
+        assert table.n == len(model) and flt.table.n == len(flt_model)
     assert set(table.keys()) == set(model)
     checked_mask(table)
-    assert {s for s in flt.slots if s is not None} == flt_model
+    # the filter is the table of its signatures: here the keys at h, in order
+    assert flt.table.slots == rebuild(table, flt_model).slots
 
 
 @st.composite
