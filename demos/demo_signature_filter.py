@@ -21,7 +21,7 @@ def main():
     print(f"filters sized t={t} for n={n} keys (load {n / t:.3f})\n")
 
     flt = make_filter(t, 8, "independent", seed=3)
-    keys = sample_distinct_keys(derived_rng(4, 0), n, 2**61 - 1)
+    keys = sample_distinct_keys(derived_rng(4, 0), n, 2**61 - 1).tolist()
     for x in keys:
         flt.insert(x)
     misses = sum(not flt.query(x) for x in keys)

@@ -64,11 +64,11 @@ def make_family(name: str, t: int, seed: int, stream: int):
     raise ValueError(f"unknown hash family {name!r}")
 
 
-def trial_keys(name: str, n: int, seed: int, stream: int) -> list[int]:
-    """Keys stored in one trial: uniform distinct keys, or the contiguous
-    prefix 0..n-1 for the *_seq variants."""
+def trial_keys(name: str, n: int, seed: int, stream: int) -> np.ndarray:
+    """Keys stored in one trial, as a uint64 array: uniform distinct keys,
+    or the contiguous prefix 0..n-1 for the *_seq variants."""
     if name.endswith("_seq"):
-        return list(range(n))
+        return np.arange(n, dtype=np.uint64)
     rng = derived_rng(seed, stream)
     return sample_distinct_keys(rng, n, MERSENNE61)
 
@@ -239,7 +239,8 @@ def _row(config: ExperimentConfig, cell: Cell, metric: str, value,
 
 def _probe_cost_trial(family: str, n: int, t: int, seed: int, stream: int, queries: int):
     h = make_family(family, t, seed, stream)
-    keys = trial_keys(family, n, seed, stream + 1)
+    key_array = trial_keys(family, n, seed, stream + 1)
+    keys = key_array.tolist()
     stored = set(keys)
     rng = derived_rng(seed, stream + 2)
     absent = []
@@ -247,13 +248,11 @@ def _probe_cost_trial(family: str, n: int, t: int, seed: int, stream: int, queri
         drawn = rng.integers(0, MERSENNE61, size=queries - len(absent), dtype=np.uint64)
         absent += [q for q in drawn.tolist() if q not in stored]
     # keys, then queries, in one batch: the random family draws in the order
-    # a scalar insert-then-search loop would.  The slots are converted to
-    # ints one at a time; the inserts take the first len(keys) of them (zip
-    # stops at the end of keys before it reads `starts`), the searches the rest.
-    starts = map(int, h.hash_array(np.array(keys + absent, dtype=np.uint64)))
+    # a scalar insert-then-search loop would
+    starts = h.hash_array(np.concatenate([key_array, np.array(absent, dtype=np.uint64)])).tolist()
     table = ProbeTable(t, h)
-    ins = np.array([table.insert(x, s)[1] for x, s in zip(keys, starts)], dtype=np.int64)
-    srch = np.array([table.search(q, s).probes for q, s in zip(absent, starts)],
+    ins = np.array([table.insert(x, s)[1] for x, s in zip(keys, starts[:n])], dtype=np.int64)
+    srch = np.array([table.search(q, s).probes for q, s in zip(absent, starts[n:])],
                     dtype=np.int64)
     return ins, srch
 
@@ -280,7 +279,7 @@ def exp_probe_cost(config: ExperimentConfig, threads: int = 1) -> list[Row]:
 def _trial_counts(family: str, n: int, t: int, seed: int, stream: int) -> np.ndarray:
     """Per-slot hash histogram of one trial's keys, hashed as one batch."""
     h = make_family(family, t, seed, stream)
-    keys = np.array(trial_keys(family, n, seed, stream + 1), dtype=np.uint64)
+    keys = trial_keys(family, n, seed, stream + 1)
     return np.bincount(h.hash_array(keys).astype(np.int64), minlength=t)
 
 

@@ -135,21 +135,21 @@ class FprReport:
     mean_scan_keys: float  # E[|X(q)|] on the shadow exact table
 
 
-def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> list[int]:
+def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> np.ndarray:
     """`count` distinct uniform keys below `bound` (0 <= count <= bound, and
-    fast for bound >> count), in order of first draw; rounds of `count`
-    draws repeat until enough are distinct."""
+    fast for bound >> count), as a uint64 array in order of first draw;
+    rounds of `count` draws repeat until enough are distinct."""
     if not 0 <= count <= bound:
         raise ValueError(f"cannot draw {count} distinct keys below {bound}")
     drawn = rng.integers(0, bound, size=count, dtype=np.uint64)
     ordered = np.sort(drawn)
     if (ordered[1:] != ordered[:-1]).all():  # no duplicate: the usual case
-        return drawn.tolist()
+        return drawn
     first = np.unique(drawn, return_index=True)[1]  # first occurrence of each distinct key
     while len(first) < count:
         drawn = np.concatenate([drawn, rng.integers(0, bound, size=count, dtype=np.uint64)])
         first = np.unique(drawn, return_index=True)[1]
-    return drawn[np.sort(first)[:count]].tolist()
+    return drawn[np.sort(first)[:count]]
 
 
 def measure_fpr(
@@ -176,8 +176,9 @@ def measure_fpr(
     place_array = _placement(t, b, mode, seed, stream)[1]
     flt, shadow = ProbeTable(t, None), ProbeTable(t, None)
     rng = derived_rng(seed, stream + 1_000_003)
-    keys = sample_distinct_keys(rng, n + trials, MERSENNE61)
-    starts, sigs = place_array(np.array(keys, dtype=np.uint64))  # every key in one batch
+    drawn = sample_distinct_keys(rng, n + trials, MERSENNE61)
+    starts, sigs = place_array(drawn)  # every key in one batch
+    keys = drawn.tolist()
     for x, start, sig in zip(keys[:n], starts[:n].tolist(), sigs[:n].tolist()):
         flt.insert(sig, start)
         shadow.insert(x, start)

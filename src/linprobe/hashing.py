@@ -243,6 +243,8 @@ class TrulyRandomHash:
 
     Repeated evaluation of a key always returns the first drawn value;
     the memo insert is lock-protected so concurrent evaluation is safe.
+    A batch hashed before anything is memoized stays pending, as sorted
+    distinct keys and their values, until a later call folds it into the memo.
     """
 
     def __init__(self, t: int, seed: int, *, stream: int = 0):
@@ -251,13 +253,22 @@ class TrulyRandomHash:
         self.range_t = t
         self._rng = derived_rng(seed, stream)
         self._memo: dict[int, int] = {}
+        self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
+
+    def _merge_pending(self) -> None:
+        """Fold the pending batch into the memo; the caller holds the lock."""
+        if self._pending is not None:
+            distinct, values = self._pending
+            self._memo.update(zip(distinct.tolist(), values.tolist()))
+            self._pending = None
 
     def __call__(self, x: int) -> int:
         memo = self._memo
         v = memo.get(x)
         if v is None:
             with self._lock:
+                self._merge_pending()
                 v = memo.get(x)
                 if v is None:
                     v = int(self._rng.integers(0, self.range_t))
@@ -265,17 +276,31 @@ class TrulyRandomHash:
         return v
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array.  Keys not yet
-        memoized get one batched draw in order of first occurrence, which
-        equals scalar evaluation in key order."""
-        ks = np.asarray(keys, dtype=np.uint64).tolist()
+        """`__call__` of every uint64 key, as a uint64 array of the keys'
+        shape.  Keys not yet memoized get one batched draw in order of first
+        occurrence, which equals scalar evaluation in key order."""
+        x = np.asarray(keys, dtype=np.uint64)
+        flat = x.ravel()
         with self._lock:
-            memo = self._memo
+            if not self._memo and self._pending is None and flat.size:
+                distinct, first, inverse = np.unique(flat, return_index=True,
+                                                     return_inverse=True)
+                # rank of each distinct key in order of first occurrence
+                is_first = np.zeros(flat.size, dtype=bool)
+                is_first[first] = True
+                rank = np.cumsum(is_first)[first] - 1
+                drawn = self._rng.integers(0, self.range_t, size=distinct.size)
+                values = drawn[rank].astype(np.uint64)
+                self._pending = (distinct, values)
+                return values[inverse].reshape(x.shape)
+            self._merge_pending()
+            memo, ks = self._memo, flat.tolist()
             fresh = [k for k in dict.fromkeys(ks) if k not in memo]
             if fresh:
                 drawn = self._rng.integers(0, self.range_t, size=len(fresh))
                 memo.update(zip(fresh, drawn.tolist()))
-            return np.fromiter(map(memo.__getitem__, ks), dtype=np.uint64, count=len(ks))
+            return np.fromiter(map(memo.__getitem__, ks), dtype=np.uint64,
+                               count=len(ks)).reshape(x.shape)
 
 
 ENUMERATION_BUDGET = 10**6

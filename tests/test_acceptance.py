@@ -183,7 +183,7 @@ def test_criterion_06_run_lemmas():
         family = "random" if trial % 2 == 0 else "poly5"
         h = make_family(family, t, seed=2006, stream=trial)
         rng = derived_rng(2106, trial)
-        keys = sample_distinct_keys(rng, n, KEY_BOUND)
+        keys = sample_distinct_keys(rng, n, KEY_BOUND).tolist()
         table = ProbeTable(t, h)
         for x in keys:
             table.insert(x)
@@ -259,7 +259,7 @@ def test_criterion_09_filter_fpr():
     t = table_size_for(1 << 14)
     flt = make_filter(t, 8, "independent", seed=2009)
     rng = derived_rng(2109, 0)
-    pool = sample_distinct_keys(rng, (2 * t) // 3, KEY_BOUND)
+    pool = sample_distinct_keys(rng, (2 * t) // 3, KEY_BOUND).tolist()
     inserted = []
     ops = 0
     i = 0
@@ -306,7 +306,7 @@ def test_criterion_10_subsequence_lemma():
         rng = derived_rng(2010, trial)
         h = TrulyRandomHash(t, seed=2110, stream=trial)
         count = int(rng.integers(1, (2 * t) // 3))
-        keys = sample_distinct_keys(rng, count, KEY_BOUND)
+        keys = sample_distinct_keys(rng, count, KEY_BOUND).tolist()
         mask = [bool(b) for b in rng.integers(0, 2, size=count)]
         start = int(rng.integers(0, t))
         if subsequence_scan_check(keys, mask, h, t, start) is not None:

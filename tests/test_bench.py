@@ -3,7 +3,8 @@ the probes of every ProbeTable.insert and search span and checks them
 against the probe sums the rows state, so the experiments must keep every
 insert and absent search on ProbeTable, with exact probe counts.  An
 untraced `moments` run at seed 42 checks every pass against that seed's
-pinned digest too."""
+pinned digest too, and so does an untraced `occupancy` run, whose
+histograms hash the random family's keys in one batch."""
 
 import json
 import subprocess
@@ -32,3 +33,7 @@ def test_traced_self_test_passes(workload):
 
 def test_moments_matches_seed_42_pin():
     run_bench("moments", seed=42, trace=0)
+
+
+def test_occupancy_matches_seed_42_pin():
+    run_bench("occupancy", seed=42, trace=0)

@@ -152,7 +152,7 @@ def scalar_probe_cost_trial(family, n, t, seed, stream, queries):
     """The per-key reference: each key hashed by the table on insert, each
     absent query hashed and searched in turn."""
     h = make_family(family, t, seed, stream)
-    keys = experiments.trial_keys(family, n, seed, stream + 1)
+    keys = experiments.trial_keys(family, n, seed, stream + 1).tolist()
     table = ProbeTable(t, h)
     ins = [table.insert(x)[1] for x in keys]
     return ins, [table.search(q).probes for q in absent_queries(keys, seed, stream + 2, queries)]
@@ -174,7 +174,7 @@ def test_probe_cost_trial_matches_carry_model(family, n, t):
     # hash histogram, and an absent search takes 1 + the distance from its
     # start to the next empty slot
     ins, srch = experiments._probe_cost_trial(family, n, t, 7, 3, 300)
-    keys = experiments.trial_keys(family, n, 7, 4)
+    keys = experiments.trial_keys(family, n, 7, 4).tolist()
     batch = np.array(keys + absent_queries(keys, 7, 5, 300), dtype=np.uint64)
     starts = make_family(family, t, 7, 3).hash_array(batch).astype(np.int64)
     total_carry, to_empty = carry_model(np.bincount(starts[:n], minlength=t))

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -308,6 +309,14 @@ class TestHashArray:
         for h in all_families(2**11, seed=1):
             assert h.hash_array(np.empty(0, dtype=np.uint64)).tolist() == []
 
+    def test_two_dimensional_batch(self):
+        keys = batch_keys(3)[-4096:].reshape(64, 64)  # the edge keys included
+        for h in all_families(2**11, seed=3):
+            got = h.hash_array(keys)
+            assert got.shape == keys.shape and got.dtype == np.uint64, type(h).__name__
+            assert got.tolist() == [[h(int(k)) for k in row] for row in keys]
+            assert h.hash_array(keys.T).tolist() == got.T.tolist()  # memoized for random
+
     @pytest.mark.parametrize("t", [2, 2**11, 2**17])
     def test_truly_random_scalar_batch_scalar(self, t):
         keys = batch_keys(t + 1)
@@ -325,6 +334,74 @@ class TestHashArray:
         with pytest.raises(ValueError):
             TabulationHash(char_count=1, char_bits=2, output_bits=8,
                            tables=((0, 1, 2, entry),))
+
+
+def keys_with_repeats(seed, size, distinct):
+    """`size` keys drawn with replacement from `distinct` wide keys (the
+    edge keys among them), in an unsorted order of first occurrence."""
+    pool = batch_keys(seed)[-distinct:]
+    return pool[derived_rng(seed, 1).integers(0, distinct, size=size)]
+
+
+def same_stream(a, b):
+    return a._rng.bit_generator.state == b._rng.bit_generator.state
+
+
+class TestTrulyRandomFreshBatch:
+    """A batch on a function with nothing memoized is drawn in one call and
+    kept pending; it must behave exactly like scalar evaluation in key order."""
+
+    @pytest.mark.parametrize("t", [2, 2**11, 2**17])
+    def test_fresh_batch_equals_scalar_in_key_order(self, t):
+        keys = keys_with_repeats(t, 3000, 400)
+        a, b = TrulyRandomHash(t, seed=6, stream=1), TrulyRandomHash(t, seed=6, stream=1)
+        assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+        assert same_stream(a, b)
+
+    @pytest.mark.parametrize("t", [2, 2**11, 2**17])
+    def test_scalar_then_batch_after_fresh_batch(self, t):
+        keys = keys_with_repeats(t + 1, 3000, 400)
+        more = keys_with_repeats(t + 2, 2000, 600)  # some memoized, some new
+        a, b = TrulyRandomHash(t, seed=7, stream=2), TrulyRandomHash(t, seed=7, stream=2)
+        first = a.hash_array(keys).tolist()
+        assert first == [b(int(k)) for k in keys]
+        assert [a(int(k)) for k in keys[::-1]] == first[::-1]  # memoized: no draw
+        assert same_stream(a, b)
+        assert [a(int(k)) for k in more[:500]] == [b(int(k)) for k in more[:500]]
+        assert same_stream(a, b)
+        assert a.hash_array(more).tolist() == [b(int(k)) for k in more]
+        assert same_stream(a, b)
+        assert a.hash_array(keys).tolist() == first
+
+    def test_second_batch_folds_the_first(self):
+        keys, more = keys_with_repeats(4, 3000, 400), keys_with_repeats(5, 3000, 700)
+        a, b = TrulyRandomHash(2**11, seed=8), TrulyRandomHash(2**11, seed=8)
+        assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+        assert a.hash_array(more).tolist() == [b(int(k)) for k in more]
+        assert same_stream(a, b)
+        assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+        assert same_stream(a, b)
+
+    def test_threads_mixing_batch_and_scalar_agree(self):
+        keys = keys_with_repeats(9, 4000, 500)
+        for round_ in range(10):
+            h = TrulyRandomHash(2**11, seed=9, stream=round_)
+            barrier, got = threading.Barrier(4), [None] * 4
+
+            def work(i):
+                part = keys[i::4]
+                barrier.wait()
+                got[i] = (h.hash_array(part).tolist() if i % 2 == round_ % 2
+                          else [h(k) for k in part.tolist()])
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+            want = h.hash_array(keys).tolist()
+            assert all(got[i] == want[i::4] for i in range(4))
+            assert [h(int(k)) for k in keys] == want
 
 
 @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
@@ -363,8 +440,8 @@ def test_sample_distinct_keys_matches_loop(count, bound):
     for stream in range(5):
         a, b = derived_rng(11, stream), derived_rng(11, stream)
         got = sample_distinct_keys(a, count, bound)
-        assert got == sample_distinct_keys_loop(b, count, bound)
-        assert all(type(k) is int for k in got)
+        assert got.dtype == np.uint64
+        assert got.tolist() == sample_distinct_keys_loop(b, count, bound)
         assert a.integers(0, 2**63) == b.integers(0, 2**63)  # same draws consumed
 
 
