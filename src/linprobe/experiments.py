@@ -168,8 +168,7 @@ def rows_to_csv(rows: list[Row]) -> str:
 
 
 def rows_to_json(rows: list[Row]) -> str:
-    # value round-trips exactly: 17 significant digits
-    payload = [{**asdict(r), "value": float(f"{float(r.value):.17g}")} for r in rows]
+    payload = [{**asdict(r), "value": float(r.value)} for r in rows]
     return json.dumps(payload, indent=1) + "\n"
 
 

@@ -17,6 +17,7 @@ from .hashing import (
     derived_rng,
     new_polynomial,
     new_tabulation,
+    _all_distinct,
     _is_pow2,
     _mersenne_horner,
 )
@@ -142,8 +143,7 @@ def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> np
     if not 0 <= count <= bound:
         raise ValueError(f"cannot draw {count} distinct keys below {bound}")
     drawn = rng.integers(0, bound, size=count, dtype=np.uint64)
-    ordered = np.sort(drawn)
-    if (ordered[1:] != ordered[:-1]).all():  # no duplicate: the usual case
+    if _all_distinct(drawn):  # the usual case
         return drawn
     first = np.unique(drawn, return_index=True)[1]  # first occurrence of each distinct key
     while len(first) < count:

@@ -59,6 +59,23 @@ def _reduce61(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _key_array(keys) -> np.ndarray:
+    """`keys` as a uint64 array, refusing what a cast would alias: `TypeError`
+    for a non-integer dtype, `ValueError` for a negative key.  A uint64 array
+    passes as is, with no copy and no scan."""
+    x = np.asarray(keys)
+    if x.dtype.kind == "i" and (x < 0).any():
+        raise ValueError("keys must be non-negative")
+    if x.size and x.dtype.kind not in "iu":
+        raise TypeError(f"keys must be integers, not {x.dtype}")
+    return x.astype(np.uint64, copy=False)
+
+
+def _all_distinct(keys: np.ndarray) -> bool:
+    """True iff the 1-D array holds no key twice (one sort)."""
+    return bool((np.diff(np.sort(keys)) != 0).all())
+
+
 def _mersenne_horner(coefficients: tuple[int, ...], keys) -> np.ndarray:
     """Horner evaluation mod p = 2^61 - 1 at every uint64 key, bit-identical
     to the scalar path (Thorup, arXiv:1504.06804).
@@ -67,7 +84,7 @@ def _mersenne_horner(coefficients: tuple[int, ...], keys) -> np.ndarray:
     keys >= p.  Every product of residues is split into 32-bit halves and
     folded with 2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.
     """
-    x = _reduce61(np.asarray(keys, dtype=np.uint64))
+    x = _reduce61(_key_array(keys))
     x_hi, x_lo = x >> 32, x & _LOW32
     acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
     for a in reversed(coefficients[:-1]):
@@ -214,7 +231,7 @@ class TabulationHash:
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every uint64 key, as a uint64 array."""
-        x = np.asarray(keys, dtype=np.uint64)
+        x = _key_array(keys)
         mask = (1 << self.char_bits) - 1
         out = np.zeros(x.shape, dtype=np.uint64)
         for j, row in enumerate(self.tables):
@@ -241,10 +258,10 @@ def new_tabulation(
 class TrulyRandomHash:
     """Lazily memoized uniform map into [t]: the full-independence baseline.
 
-    Repeated evaluation of a key always returns the first drawn value;
-    the memo insert is lock-protected so concurrent evaluation is safe.
-    A batch hashed before anything is memoized stays pending, as sorted
-    distinct keys and their values, until a later call folds it into the memo.
+    `__call__` defines every draw: a key's first evaluation takes the next
+    value of the stream, and the memo (its insert lock-protected) returns it
+    ever after.  `hash_array` of distinct keys on a fresh function draws
+    them in one call and keeps them pending until `__call__` folds them in.
     """
 
     def __init__(self, t: int, seed: int, *, stream: int = 0):
@@ -256,51 +273,33 @@ class TrulyRandomHash:
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self._lock = threading.Lock()
 
-    def _merge_pending(self) -> None:
-        """Fold the pending batch into the memo; the caller holds the lock."""
-        if self._pending is not None:
-            distinct, values = self._pending
-            self._memo.update(zip(distinct.tolist(), values.tolist()))
-            self._pending = None
-
     def __call__(self, x: int) -> int:
-        memo = self._memo
+        x, memo = operator.index(x), self._memo
         v = memo.get(x)
         if v is None:
             with self._lock:
-                self._merge_pending()
+                if self._pending is not None:
+                    keys, values = self._pending
+                    memo.update(zip(keys.tolist(), values.tolist()))
+                    self._pending = None
                 v = memo.get(x)
                 if v is None:
-                    v = int(self._rng.integers(0, self.range_t))
-                    memo[x] = v
+                    v = memo[x] = int(self._rng.integers(0, self.range_t))
         return v
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every uint64 key, as a uint64 array of the keys'
-        shape.  Keys not yet memoized get one batched draw in order of first
-        occurrence, which equals scalar evaluation in key order."""
-        x = np.asarray(keys, dtype=np.uint64)
+        shape.  A fresh function hashing distinct keys draws them in one
+        call, in key order: the draws scalar calls in key order would make."""
+        x = _key_array(keys)
         flat = x.ravel()
         with self._lock:
-            if not self._memo and self._pending is None and flat.size:
-                distinct, first, inverse = np.unique(flat, return_index=True,
-                                                     return_inverse=True)
-                # rank of each distinct key in order of first occurrence
-                is_first = np.zeros(flat.size, dtype=bool)
-                is_first[first] = True
-                rank = np.cumsum(is_first)[first] - 1
-                drawn = self._rng.integers(0, self.range_t, size=distinct.size)
-                values = drawn[rank].astype(np.uint64)
-                self._pending = (distinct, values)
-                return values[inverse].reshape(x.shape)
-            self._merge_pending()
-            memo, ks = self._memo, flat.tolist()
-            fresh = [k for k in dict.fromkeys(ks) if k not in memo]
-            if fresh:
-                drawn = self._rng.integers(0, self.range_t, size=len(fresh))
-                memo.update(zip(fresh, drawn.tolist()))
-            return np.fromiter(map(memo.__getitem__, ks), dtype=np.uint64,
-                               count=len(ks)).reshape(x.shape)
+            if flat.size and not self._memo and self._pending is None and _all_distinct(flat):
+                values = self._rng.integers(0, self.range_t, size=flat.size).astype(np.uint64)
+                self._pending = (flat.copy(), values)
+                return values.reshape(x.shape)
+        return np.fromiter(map(self, flat.tolist()), dtype=np.uint64,
+                           count=flat.size).reshape(x.shape)
 
 
 ENUMERATION_BUDGET = 10**6

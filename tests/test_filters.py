@@ -186,6 +186,20 @@ def test_batch_placement_matches_scalar(mode, t, b):
     assert list(zip(starts.tolist(), sigs.tolist())) == [place(k) for k in keys.tolist()]
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("keys,error", [(np.array([3, -1]), ValueError),
+                                        (np.array([-2**40], dtype=np.int64), ValueError),
+                                        (np.array([1.5]), TypeError),
+                                        (np.array([2.0, 3.0]), TypeError)])
+def test_batch_placement_refuses_keys_a_cast_would_alias(mode, keys, error):
+    place, place_array = _placement(64, 8, mode, seed=63, stream=1)
+    with pytest.raises(error):
+        place_array(keys)
+    ok = np.array([3, 2**40], dtype=np.int64)
+    starts, sigs = place_array(ok)
+    assert list(zip(starts.tolist(), sigs.tolist())) == [place(k) for k in ok.tolist()]
+
+
 def scalar_fpr(t, b, mode, n, trials, seed, stream):
     """measure_fpr's keys through the scalar reference: make_filter,
     SignatureFilter.insert/query, and an exact table on the filter's start hash."""

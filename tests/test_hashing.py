@@ -15,6 +15,7 @@ from linprobe.hashing import (
     new_polynomial,
     new_tabulation,
     verify_independence_exact,
+    _key_array,
 )
 from linprobe.filters import sample_distinct_keys
 from linprobe.probing import ProbeTable
@@ -307,7 +308,8 @@ class TestHashArray:
 
     def test_empty_batch(self):
         for h in all_families(2**11, seed=1):
-            assert h.hash_array(np.empty(0, dtype=np.uint64)).tolist() == []
+            for empty in (np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), [], ()):
+                assert h.hash_array(empty).tolist() == []
 
     def test_two_dimensional_batch(self):
         keys = batch_keys(3)[-4096:].reshape(64, 64)  # the edge keys included
@@ -343,48 +345,77 @@ def keys_with_repeats(seed, size, distinct):
     return pool[derived_rng(seed, 1).integers(0, distinct, size=size)]
 
 
+def fresh_batch(kind, seed, size, distinct):
+    """`distinct` distinct wide keys (the edge keys among them) in an
+    unsorted order, or `size` keys drawn from them with replacement."""
+    if kind == "repeats":
+        return keys_with_repeats(seed, size, distinct)
+    keys = batch_keys(seed)[-distinct:]
+    assert len(set(keys.tolist())) == distinct
+    return keys
+
+
 def same_stream(a, b):
     return a._rng.bit_generator.state == b._rng.bit_generator.state
 
 
+KINDS = ["distinct", "repeats"]
+RANGES = [2, 2**11, 2**17, 2**40]
+
+
 class TestTrulyRandomFreshBatch:
-    """A batch on a function with nothing memoized is drawn in one call and
-    kept pending; it must behave exactly like scalar evaluation in key order."""
+    """A batch of distinct keys on a function with nothing memoized is drawn
+    in one call and kept pending; any other batch goes through `__call__`.
+    Either way it must behave exactly like scalar evaluation in key order."""
 
-    @pytest.mark.parametrize("t", [2, 2**11, 2**17])
+    @pytest.mark.parametrize("t", RANGES)
     def test_fresh_batch_equals_scalar_in_key_order(self, t):
-        keys = keys_with_repeats(t, 3000, 400)
-        a, b = TrulyRandomHash(t, seed=6, stream=1), TrulyRandomHash(t, seed=6, stream=1)
-        assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
-        assert same_stream(a, b)
+        for kind in KINDS:
+            keys = fresh_batch(kind, t, 3000, 400)
+            a, b = TrulyRandomHash(t, seed=6, stream=1), TrulyRandomHash(t, seed=6, stream=1)
+            assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+            assert same_stream(a, b)
+            assert (a._pending is not None) == (kind == "distinct")  # one draw, kept pending
 
-    @pytest.mark.parametrize("t", [2, 2**11, 2**17])
+    @pytest.mark.parametrize("t", RANGES)
     def test_scalar_then_batch_after_fresh_batch(self, t):
-        keys = keys_with_repeats(t + 1, 3000, 400)
-        more = keys_with_repeats(t + 2, 2000, 600)  # some memoized, some new
-        a, b = TrulyRandomHash(t, seed=7, stream=2), TrulyRandomHash(t, seed=7, stream=2)
-        first = a.hash_array(keys).tolist()
-        assert first == [b(int(k)) for k in keys]
-        assert [a(int(k)) for k in keys[::-1]] == first[::-1]  # memoized: no draw
-        assert same_stream(a, b)
-        assert [a(int(k)) for k in more[:500]] == [b(int(k)) for k in more[:500]]
-        assert same_stream(a, b)
-        assert a.hash_array(more).tolist() == [b(int(k)) for k in more]
-        assert same_stream(a, b)
-        assert a.hash_array(keys).tolist() == first
+        for kind in KINDS:
+            keys = fresh_batch(kind, t + 1, 3000, 400)
+            more = fresh_batch(kind, t + 2, 2000, 600)  # some memoized, some new
+            a, b = TrulyRandomHash(t, seed=7, stream=2), TrulyRandomHash(t, seed=7, stream=2)
+            first = a.hash_array(keys).tolist()
+            assert first == [b(int(k)) for k in keys]
+            assert [a(int(k)) for k in keys[::-1]] == first[::-1]  # memoized: no draw
+            assert same_stream(a, b)
+            assert [a(int(k)) for k in more[:500]] == [b(int(k)) for k in more[:500]]
+            assert same_stream(a, b)
+            assert a.hash_array(more).tolist() == [b(int(k)) for k in more]
+            assert same_stream(a, b)
+            assert a.hash_array(keys).tolist() == first
 
     def test_second_batch_folds_the_first(self):
-        keys, more = keys_with_repeats(4, 3000, 400), keys_with_repeats(5, 3000, 700)
-        a, b = TrulyRandomHash(2**11, seed=8), TrulyRandomHash(2**11, seed=8)
-        assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
-        assert a.hash_array(more).tolist() == [b(int(k)) for k in more]
-        assert same_stream(a, b)
-        assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+        for kind in KINDS:
+            keys, more = fresh_batch(kind, 4, 3000, 400), fresh_batch(kind, 5, 3000, 700)
+            a, b = TrulyRandomHash(2**11, seed=8), TrulyRandomHash(2**11, seed=8)
+            assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+            assert a.hash_array(more).tolist() == [b(int(k)) for k in more]
+            assert same_stream(a, b)
+            assert a.hash_array(keys).tolist() == [b(int(k)) for k in keys]
+            assert same_stream(a, b)
+
+    def test_batch_keeps_no_view_of_the_keys(self):
+        keys = batch_keys(10)[-1000:]
+        a, b = TrulyRandomHash(2**11, seed=10), TrulyRandomHash(2**11, seed=10)
+        caller = keys.copy()
+        first = a.hash_array(caller).tolist()
+        caller[:] = batch_keys(11)[-1000:]  # the caller reuses its array
+        assert a.hash_array(keys[::-1]).tolist() == first[::-1]
+        assert [a(int(k)) for k in keys] == first == [b(int(k)) for k in keys]
         assert same_stream(a, b)
 
     def test_threads_mixing_batch_and_scalar_agree(self):
-        keys = keys_with_repeats(9, 4000, 500)
-        for round_ in range(10):
+        for kind, round_ in itertools.product(KINDS, range(10)):
+            keys = fresh_batch(kind, 9, 4000, 500)
             h = TrulyRandomHash(2**11, seed=9, stream=round_)
             barrier, got = threading.Barrier(4), [None] * 4
 
@@ -404,13 +435,52 @@ class TestTrulyRandomFreshBatch:
             assert [h(int(k)) for k in keys] == want
 
 
+ALIASING_BATCHES = [
+    (np.array([-1]), ValueError),  # a uint64 cast would make it 2^64 - 1
+    (np.array([5, 2**62, -3], dtype=np.int64), ValueError),
+    (np.array([-1], dtype=np.int8), ValueError),
+    (np.array([1.5]), TypeError),  # a uint64 cast would make it 1
+    (np.array([1.0]), TypeError),
+    (np.array([True]), TypeError),
+    (np.array([1 + 0j]), TypeError),
+]
+
+
+@pytest.mark.parametrize("keys,error", ALIASING_BATCHES)
+def test_hash_array_refuses_keys_a_cast_would_alias(keys, error):
+    for h, fresh in zip(all_families(2**10, seed=12), all_families(2**10, seed=12)):
+        with pytest.raises(error):
+            h.hash_array(keys)
+        if isinstance(h, TrulyRandomHash):  # nothing drawn, nothing kept
+            assert same_stream(h, fresh) and h._pending is None and not h._memo
+
+
+def test_hash_array_takes_signed_batches():
+    wide = batch_keys(13)
+    signed = (wide >> 1).astype(np.int64)  # every key below 2^63, P - 1 and P among them
+    for h in all_families(2**10, seed=13):
+        got = h.hash_array(signed)
+        assert got.dtype == np.uint64, type(h).__name__
+        assert got.tolist() == h.hash_array(signed.astype(np.uint64)).tolist()
+        assert got.tolist() == [h(k) for k in signed.tolist()]
+    assert _key_array(wide) is wide  # a uint64 batch: no copy
+
+
 @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
-@pytest.mark.parametrize("family", ["poly1", "poly2", "poly3", "poly5", "linear"])
+@pytest.mark.parametrize("family", ["poly1", "poly2", "poly3", "poly5", "linear", "tabulation",
+                                    "random"])
 def test_scalar_hash_takes_numpy_integers(family):
     # a numpy key is evaluated as the Python int it stands for, not in
     # wrapping 64-bit arithmetic, and lands in the same table slot
     t = 2**13
-    h = new_linear(t, 8) if family == "linear" else new_polynomial(int(family[-1]), t, 8)
+    if family == "linear":
+        h = new_linear(t, 8)
+    elif family == "tabulation":
+        h = new_tabulation(4, 16, 13, 8)
+    elif family == "random":
+        h = TrulyRandomHash(t, 8)
+    else:
+        h = new_polynomial(int(family[-1]), t, 8)
     keys = batch_keys(9).tolist()
     batch = h.hash_array(np.array(keys, dtype=np.uint64)).tolist()
     for k, want in zip(keys, batch):
@@ -418,8 +488,9 @@ def test_scalar_hash_takes_numpy_integers(family):
         if k < 2**63:
             assert h(np.int64(k)) == want
         assert ProbeTable(t, h).insert(np.uint64(k)) == (want, 1)
-    with pytest.raises(TypeError):
-        h(1.0)
+    for bad in (1.0, np.float64(1.0), "a", None):
+        with pytest.raises(TypeError):
+            h(bad)
 
 
 def sample_distinct_keys_loop(rng, count, bound):
