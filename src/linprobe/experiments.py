@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .filters import MODES, _check_paired_width, measure_fpr, sample_distinct_keys
+from .filters import MODES, _check_width, measure_fpr, sample_distinct_keys
 from .hashing import (
     MERSENNE61,
     TABULATION_CHAR_BITS,
@@ -44,6 +44,11 @@ __all__ = ["EXPERIMENTS", "ExperimentConfig", "Row", "default_config", "make_fam
 
 FAMILIES = ("poly2", "poly3", "poly5", "linear", "tabulation", "random")
 SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead of uniform
+
+MAX_TABLE = 1 << 24  # slots: the widest table a config may ask for (each trial allocates one)
+# Each integer field of ExperimentConfig, its (or each entry's) least value, and if it is one int.
+_INT_FIELDS = (("n_values", 1, False), ("b_values", 1, False), ("levels", 0, False),
+               ("table_trials", 1, True), ("query_trials", 1, True), ("seed", 0, True))
 
 MAX_RUN_SLACK = 16  # test constant for the max-run O(log n) claim
 THREE_INDEP_SLACK = 8  # test constant for the 3-independent O(log n) claim
@@ -94,34 +99,22 @@ class ExperimentConfig:
                 raise ValueError(f"unknown hash family {family!r}")
         if not 0 < self.load_target < 1:
             raise ValueError("load target must lie in (0, 1)")
-        for name, values in (("n_values", self.n_values), ("b_values", self.b_values),
-                             ("levels", self.levels), ("table_trials", (self.table_trials,)),
-                             ("query_trials", (self.query_trials,)), ("seed", (self.seed,))):
-            if any(isinstance(v, bool) or not isinstance(v, int) for v in values):
-                raise ValueError(f"{name} must be integers, got {values!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.table_trials < 1:
-            raise ValueError("table_trials must be at least 1")
-        if self.query_trials < 1:
-            raise ValueError("query_trials must be at least 1")
-        for b in self.b_values:
-            if b < 1:
-                raise ValueError("b values must be at least 1")
-        for level in self.levels:
-            if level < 0:
-                raise ValueError("levels must be non-negative")
+        for name, least, scalar in _INT_FIELDS:
+            value = getattr(self, name)
+            for v in (value,) if scalar else value:
+                if isinstance(v, bool) or not isinstance(v, int):
+                    raise ValueError(f"{name} must be integers, got {value!r}")
+                if v < least:
+                    raise ValueError(f"{name} must be at least {least}, got {value!r}")
         for n in self.n_values:
-            if n < 1:
-                raise ValueError("n values must be positive")
-            if table_size_for(n, self.load_target) > MERSENNE61 // 24:
-                raise ValueError(f"n = {n} needs a table wider than p / 24 slots")
+            if n > MAX_TABLE * self.load_target:
+                raise ValueError(f"n = {n} needs a table of more than {MAX_TABLE} slots")
         for m in self.modes:
             if m not in MODES:
                 raise ValueError(f"unknown filter mode {m!r}")
         if self.experiment == "filter_fpr":
             for mode, n, b in itertools.product(self.modes, self.n_values, self.b_values):
-                _check_paired_width(table_size_for(n, self.load_target), b, mode)
+                _check_width(table_size_for(n, self.load_target), b, mode)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -298,7 +291,7 @@ def exp_interval_concentration(config: ExperimentConfig, threads: int = 1) -> li
     the pooled estimate is unbiased.  Levels with 2^l > t are skipped.
     """
     def fitting(cell: Cell) -> list[int]:
-        return [level for level in config.levels if 1 << level <= cell.t]
+        return [level for level in config.levels if level < cell.t.bit_length()]
 
     rows = []
     for cell, results in _run_grid(config, threads, 2, _interval_trial,

@@ -21,7 +21,7 @@ from .hashing import (
     _is_pow2,
     _mersenne_horner,
 )
-from .probing import ProbeTable, TableFullError, _scan_found
+from .probing import ProbeTable, _scan_found
 
 __all__ = ["MODES", "FprReport", "SignatureFilter", "make_filter", "measure_fpr",
     "sample_distinct_keys", "scan_keys", "subsequence_scan_check"]
@@ -45,10 +45,9 @@ class SignatureFilter:
 
     def insert(self, x: int) -> bool:
         """Insert x; returns False if x was already positive (its signature
-        occurs on the scan path), in which case nothing is written."""
+        occurs on the scan path), in which case nothing is written.  A new
+        signature in a full filter raises `TableFullError`."""
         table, n = self.table, self.table.n
-        if n >= table.t - 1:
-            raise TableFullError("cannot insert into a full filter")
         start, sig = self.place(x)
         table.insert(sig, start)
         return table.n > n
@@ -82,6 +81,7 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
         raise ValueError(f"unknown mode {mode!r}")
     if not _is_pow2(t):
         raise ValueError(f"filter size {t} must be a nonzero power of two")
+    _check_width(t, b, mode)
     log_t = t.bit_length() - 1
     sig_mask = (1 << b) - 1
     if mode in ("independent", "hash_of_signature"):
@@ -97,7 +97,6 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
             sigs = _mersenne_horner(universal.coefficients, keys) & sig_mask
             return h.hash_array(sigs if of_sig else keys), sigs
     else:
-        _check_paired_width(t, b, mode)
         if mode == "paired":
             wide = new_polynomial(5, t << b, seed, stream=stream)
         else:  # tabulation_paired
@@ -114,14 +113,14 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
     return place, place_array
 
 
-def _check_paired_width(t: int, b: int, mode: str) -> None:
-    """Raise ValueError unless a paired mode's log2(t) + b bit hash fits its
-    family: p = 2^61 - 1 >= 24 * 2^(log2(t) + b) for `paired`, so
-    log2(t) + b <= 56, and 64 bits for `tabulation_paired`.  Other modes
-    draw no joint hash."""
-    if (mode == "paired" and MERSENNE61 < 24 * (t << b)
-            or mode == "tabulation_paired" and t << b > 1 << 64):
-        raise ValueError(f"log2(t) + b too wide for the {mode} construction (t={t}, b={b})")
+def _check_width(t: int, b: int, mode: str) -> None:
+    """Raise ValueError unless the mode's hashes fit their families: a b-bit
+    signature fits in 64 bits, and a paired mode's one log2(t) + b bit hash
+    fits p = 2^61 - 1 >= 24 * 2^(log2(t) + b) for `paired`, so 56 bits, and
+    64 bits for `tabulation_paired`."""
+    width = b + (t.bit_length() - 1 if mode in ("paired", "tabulation_paired") else 0)
+    if width > (56 if mode == "paired" else 64):
+        raise ValueError(f"a {width}-bit hash is too wide for the {mode} mode (t={t}, b={b})")
 
 
 @dataclass(frozen=True)

@@ -59,16 +59,26 @@ def _reduce61(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _key(x) -> int:
+    """x as a Python int in [0, p), the key universe of every family, scalar and
+    batch alike: `TypeError` for a non-integer, `ValueError` outside [0, p)."""
+    x = operator.index(x)
+    if not 0 <= x < MERSENNE61:
+        raise ValueError(f"key {x} outside [0, 2^61 - 1)")
+    return x
+
+
 def _key_array(keys) -> np.ndarray:
-    """`keys` as a uint64 array, refusing what a cast would alias: `TypeError`
-    for a non-integer dtype, `ValueError` for a negative key.  A uint64 array
-    passes as is, with no copy and no scan."""
+    """`keys` as a uint64 array, by the rule of `_key`: `TypeError` for a
+    non-integer dtype, `ValueError` for a key outside [0, p) (a negative key
+    casts to one of at least 2^63).  A uint64 array passes with no copy."""
     x = np.asarray(keys)
-    if x.dtype.kind == "i" and (x < 0).any():
-        raise ValueError("keys must be non-negative")
     if x.size and x.dtype.kind not in "iu":
         raise TypeError(f"keys must be integers, not {x.dtype}")
-    return x.astype(np.uint64, copy=False)
+    x = x.astype(np.uint64, copy=False)
+    if x.size and x.max() >= MERSENNE61:
+        raise ValueError("keys must lie in [0, 2^61 - 1)")
+    return x
 
 
 def _all_distinct(keys: np.ndarray) -> bool:
@@ -77,14 +87,13 @@ def _all_distinct(keys: np.ndarray) -> bool:
 
 
 def _mersenne_horner(coefficients: tuple[int, ...], keys) -> np.ndarray:
-    """Horner evaluation mod p = 2^61 - 1 at every uint64 key, bit-identical
-    to the scalar path (Thorup, arXiv:1504.06804).
+    """Horner evaluation mod p = 2^61 - 1 at every key in [0, p),
+    bit-identical to the scalar path (Thorup, arXiv:1504.06804).
 
-    Keys are reduced mod p first, which is how the scalar arithmetic treats
-    keys >= p.  Every product of residues is split into 32-bit halves and
-    folded with 2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.
+    Every product of residues is split into 32-bit halves and folded with
+    2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.
     """
-    x = _reduce61(_key_array(keys))
+    x = _key_array(keys)
     x_hi, x_lo = x >> 32, x & _LOW32
     acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
     for a in reversed(coefficients[:-1]):
@@ -126,9 +135,9 @@ class PolynomialHash:
             raise ValueError("coefficients must be residues in [0, p)")
 
     def eval_mod_p(self, x: int) -> int:
-        """Horner evaluation mod p, before range reduction, of a Python or
-        numpy integer x (as a Python int: numpy would multiply modulo 2^64)."""
-        x, acc = operator.index(x), 0
+        """Horner evaluation mod p, before range reduction, of a key x in
+        [0, p) (as a Python int: numpy would multiply modulo 2^64)."""
+        x, acc = _key(x), 0
         for a in reversed(self.coefficients):
             acc = (acc * x + a) % MERSENNE61
         return acc
@@ -137,7 +146,7 @@ class PolynomialHash:
         return self.eval_mod_p(x) & (self.range_t - 1)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array."""
+        """`__call__` of every key, as a uint64 array."""
         return _mersenne_horner(self.coefficients, keys) & (self.range_t - 1)
 
 
@@ -149,8 +158,6 @@ def new_polynomial(k: int, t: int, seed: int, *, stream: int = 0) -> PolynomialH
     """
     if k < 1:
         raise ValueError("independence degree k must be >= 1")
-    if not _is_pow2(t):
-        raise ValueError(f"table size {t} must be a nonzero power of two")
     if MERSENNE61 < 24 * t:
         raise ValueError(f"modulus {MERSENNE61} < 24*t = {24 * t}")
     rng = derived_rng(seed, stream)
@@ -173,10 +180,10 @@ class LinearHash:
             raise ValueError("a, b must be residues in [0, p)")
 
     def __call__(self, x: int) -> int:
-        return (self.a * operator.index(x) + self.b) % MERSENNE61 & (self.range_t - 1)
+        return (self.a * _key(x) + self.b) % MERSENNE61 & (self.range_t - 1)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array."""
+        """`__call__` of every key, as a uint64 array."""
         return _mersenne_horner((self.b, self.a), keys) & (self.range_t - 1)
 
 
@@ -222,7 +229,7 @@ class TabulationHash:
         return 1 << self.output_bits
 
     def __call__(self, x: int) -> int:
-        mask = (1 << self.char_bits) - 1
+        x, mask = _key(x), (1 << self.char_bits) - 1
         out = 0
         for row in self._rows:
             out ^= row[x & mask]
@@ -230,7 +237,7 @@ class TabulationHash:
         return out
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array."""
+        """`__call__` of every key, as a uint64 array."""
         x = _key_array(keys)
         mask = (1 << self.char_bits) - 1
         out = np.zeros(x.shape, dtype=np.uint64)
@@ -274,7 +281,7 @@ class TrulyRandomHash:
         self._lock = threading.Lock()
 
     def __call__(self, x: int) -> int:
-        x, memo = operator.index(x), self._memo
+        x, memo = _key(x), self._memo
         v = memo.get(x)
         if v is None:
             with self._lock:
@@ -288,9 +295,9 @@ class TrulyRandomHash:
         return v
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
-        """`__call__` of every uint64 key, as a uint64 array of the keys'
-        shape.  A fresh function hashing distinct keys draws them in one
-        call, in key order: the draws scalar calls in key order would make."""
+        """`__call__` of every key, as a uint64 array of the keys' shape.
+        A fresh function hashing distinct keys draws them in one call, in
+        key order: the draws scalar calls in key order would make."""
         x = _key_array(keys)
         flat = x.ravel()
         with self._lock:

@@ -1,14 +1,20 @@
 import json
+import math
 import os
 import types
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import linprobe
 from linprobe import experiments
 from linprobe.cli import main as cli_main
 from linprobe.experiments import (
     EXPERIMENTS,
+    FAMILIES,
+    MAX_TABLE,
+    MODES,
+    SEQ_FAMILIES,
     ExperimentConfig,
     default_config,
     make_family,
@@ -18,7 +24,7 @@ from linprobe.experiments import (
     run_experiment,
 )
 from linprobe.hashing import TrulyRandomHash, derived_rng
-from linprobe.probing import ProbeTable, occupancy, runs
+from linprobe.probing import ProbeTable, occupancy, runs, table_size_for
 
 import numpy as np
 from probe_model import carry_model
@@ -62,9 +68,81 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown experiment 'nope'"):
             ExperimentConfig.from_dict({"experiment": "nope"})
 
+    @pytest.mark.parametrize("load", [0.5, 2 / 3, 1e-7])
+    def test_table_cap(self, load):
+        # the largest n whose table fits MAX_TABLE slots is accepted, one more is not
+        n = math.floor(MAX_TABLE * load)
+        assert table_size_for(n, load) == MAX_TABLE
+        assert ExperimentConfig(experiment="max_run", n_values=(n,), load_target=load)
+        with pytest.raises(ValueError, match="more than"):
+            ExperimentConfig(experiment="max_run", n_values=(n + 1,), load_target=load)
+
     def test_defaults_exist_for_every_experiment(self):
         for name in EXPERIMENTS:
             assert default_config(name).experiment == name
+
+
+# Config fields drawn in range, and drawn out of range: wrong types, bools,
+# NaN, negative and huge values.  Every accepted config stays small: t <= 2^10
+# and at most 2 trials, so each one runs to rows in milliseconds.
+WRONG = st.sampled_from([None, "1", 1.5, math.nan, math.inf, True, False, -1, {}, [1], [[1]]])
+IN_RANGE = {
+    "experiment": st.sampled_from(sorted(EXPERIMENTS)),
+    "families": st.lists(st.sampled_from([*FAMILIES, *SEQ_FAMILIES]), max_size=2),
+    "n_values": st.lists(st.integers(1, 300), max_size=2),
+    "load_target": st.floats(0.5, 0.9),
+    "b_values": st.lists(st.integers(1, 12), max_size=2),
+    "modes": st.lists(st.sampled_from(MODES), max_size=2),
+    "levels": st.lists(st.integers(0, 11) | st.just(10**30), max_size=2),
+    "table_trials": st.integers(1, 2),
+    "query_trials": st.integers(1, 2),
+    "seed": st.integers(0, 2**70),
+}
+OUT_OF_RANGE = {
+    "experiment": st.just("nope"),
+    "families": st.just(["poly7"]),
+    "n_values": st.lists(st.sampled_from([0, -1, MAX_TABLE, 2**64]), min_size=1, max_size=2),
+    "load_target": st.sampled_from([0.0, 1.0, 1e-9, 2.0, -0.5]),
+    "b_values": st.lists(st.sampled_from([0, -1, 57, 65, 10**30]), min_size=1, max_size=2),
+    "modes": st.just(["bloom"]),
+    "levels": st.just([-1]),
+    "table_trials": st.integers(-2, 0),
+    "query_trials": st.integers(-2, 0),
+    "seed": st.integers(-(2**70), -1),
+}
+
+
+@st.composite
+def config_dicts(draw):
+    """A config dict with up to two fields out of range and maybe an unknown
+    name; n_values and the trial counts are always given, as their defaults
+    are large."""
+    names = sorted(IN_RANGE)
+    present = draw(st.sets(st.sampled_from(names))) | {"experiment", "n_values", "table_trials",
+                                                       "query_trials"}
+    broken = draw(st.sets(st.sampled_from([*names, "bogus"]), max_size=2))
+    raw = {"bogus": 1} if "bogus" in broken else {}
+    for name in sorted(present | broken - {"bogus"}):
+        values = OUT_OF_RANGE[name] | WRONG if name in broken else IN_RANGE[name]
+        raw[name] = draw(values, label=name)
+    return raw
+
+
+@given(config_dicts())
+@example({"experiment": "filter_fpr", "n_values": [64], "b_values": [65], "modes": ["independent"],
+          "table_trials": 1, "query_trials": 2})  # the signature mask overflowed uint64
+@example({"experiment": "interval_concentration", "n_values": [64], "levels": [10**30],
+          "table_trials": 1, "query_trials": 1})  # 2^level overflowed before it was compared
+@settings(max_examples=100, deadline=None)
+def test_config_boundary_refuses_or_runs(raw):
+    # each dict is refused at the boundary with ValueError or TypeError, or runs to rows
+    try:
+        config = ExperimentConfig.from_dict(raw)
+    except (ValueError, TypeError):
+        return
+    rows = run_experiment(config)
+    assert all(r.t <= 1 << 10 for r in rows)
+    assert rows_to_csv(rows).count("\n") == len(rows) + 1
 
 
 class TestRows:
@@ -346,7 +424,11 @@ class TestCli:
                                      {"n_values": [1 << 56]},
                                      {"experiment": "filter_fpr", "b_values": [64],
                                       "modes": ["tabulation_paired"], "query_trials": 10},
-                                     {"seed": -1}, {"seed": 1.5}, {"seed": True}])
+                                     {"seed": -1}, {"seed": 1.5}, {"seed": True},
+                                     {"seed": [1]}, {"seed": []}, {"table_trials": [2]},
+                                     {"n_values": [300], "load_target": 1e-9},  # t = 2^39
+                                     {"experiment": "filter_fpr", "b_values": [65],
+                                      "modes": ["independent"], "query_trials": 10}])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         experiment = bad.get("experiment", "max_run")
         cfg = tmp_path / "cfg.json"

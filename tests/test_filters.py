@@ -72,13 +72,16 @@ class TestInsertQuery:
         assert not f.query(9)
 
     def test_full_filter_rejected(self):
-        f = fixed_filter(t=4, smap=None)
         h = FixedHash(4)
-        f = SignatureFilter(4, lambda x: (h(x), x))
+        f = SignatureFilter(4, lambda x: (h(x), x % 8))
         for x in (1, 2, 3):
             f.insert(x)
+        before = (list(f.table.slots), f.table.n)
+        assert not f.insert(10)  # signature 2 is on the path: positive, nothing written
+        assert (f.table.slots, f.table.n) == before
         with pytest.raises(TableFullError):
-            f.insert(4)
+            f.insert(4)  # a new signature needs the last empty slot
+        assert (f.table.slots, f.table.n) == before
 
     def test_no_delete_operation(self):
         f = fixed_filter()
@@ -179,8 +182,8 @@ P = 2**61 - 1
 @pytest.mark.parametrize("t,b", [(4, 1), (64, 8), (1 << 10, 12), (1 << 6, 50)])
 def test_batch_placement_matches_scalar(mode, t, b):
     place, place_array = _placement(t, b, mode, seed=61, stream=3)
-    keys = np.concatenate([derived_rng(62, 0).integers(0, 2**64, size=2000, dtype=np.uint64),
-                           np.array([0, 1, 2**32, P - 1, 2**63], dtype=np.uint64)])
+    keys = np.concatenate([derived_rng(62, 0).integers(0, P, size=2000, dtype=np.uint64),
+                           np.array([0, 1, 2**32, P - 1], dtype=np.uint64)])
     starts, sigs = place_array(keys)
     assert starts.dtype == sigs.dtype == np.uint64
     assert list(zip(starts.tolist(), sigs.tolist())) == [place(k) for k in keys.tolist()]

@@ -17,7 +17,7 @@ from linprobe.hashing import (
     verify_independence_exact,
     _key_array,
 )
-from linprobe.filters import sample_distinct_keys
+from linprobe.filters import MODES, SignatureFilter, _placement, sample_distinct_keys
 from linprobe.probing import ProbeTable
 
 
@@ -66,11 +66,12 @@ class TestNewPolynomial:
 class TestEvalPoly:
     def test_small_coefficient_arithmetic(self):
         h = PolynomialHash(coefficients=(2, 3), range_t=4)
-        # 3*(p + 5) + 2 = 17 (mod p); 17 mod 4 = 1
-        assert h(P + 5) == 1
-        assert h.eval_mod_p(P + 5) == 17
-        # 3*5 + 2 = 17 below p, so the key p + 5 aliases 5
-        assert h(5) == h(P + 5)
+        # 3*5 + 2 = 17; 17 mod 4 = 1
+        assert h(5) == 1
+        assert h.eval_mod_p(5) == 17
+        # 3*(p - 1) + 2 = -1 (mod p): the largest key wraps
+        assert h.eval_mod_p(P - 1) == P - 1
+        assert h(P - 1) == (P - 1) % 4
 
     def test_coefficient_near_p_wraps(self):
         h = PolynomialHash(coefficients=(P - 1, 1), range_t=8)
@@ -86,7 +87,7 @@ class TestEvalPoly:
 
     def test_zero_polynomial(self):
         h = PolynomialHash(coefficients=(0, 0, 0), range_t=4)
-        assert all(h(x) == 0 for x in [*range(7), P - 1, P, P + 1, 2**64 - 1])
+        assert all(h(x) == 0 for x in [*range(7), P - 2, P - 1])
 
     def test_matches_big_integer_oracle(self):
         h = new_polynomial(5, 2**12, seed=9)
@@ -100,11 +101,11 @@ class TestEvalPoly:
 class TestLinear:
     def test_degenerate_slope_is_constant(self):
         h = LinearHash(a=0, b=5, range_t=4)
-        assert {h(x) for x in [*range(7), P, 2**64 - 1]} == {5 % 4}
+        assert {h(x) for x in [*range(7), P - 2, P - 1]} == {5 % 4}
 
     def test_small_coefficient_arithmetic(self):
         h = LinearHash(a=3, b=2, range_t=4)
-        assert h(P + 5) == 1
+        assert h(5) == 1  # 3*5 + 2 = 17; 17 mod 4 = 1
         # a = p - 1: (p - 1) * 5 + 2 = -3 (mod p)
         assert LinearHash(a=P - 1, b=2, range_t=8)(5) == (P - 3) % 8
 
@@ -271,14 +272,14 @@ def test_derived_streams_differ():
 
 
 # ---------------------------------------------------------------------------
-# batch kernels: hash_array must equal the scalar __call__ on every uint64 key
+# batch kernels: hash_array must equal the scalar __call__ on every key in [0, p)
 
-EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**60, P - 2, P - 1, P, P + 1, 2**63, 2**64 - 1]
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**32, 2**60, P - 2, P - 1]
 
 
 def batch_keys(seed):
     rng = derived_rng(seed, 0)
-    drawn = rng.integers(0, 2**64, size=4096, dtype=np.uint64)
+    drawn = rng.integers(0, P, size=4096, dtype=np.uint64)
     return np.concatenate([drawn, np.array(EDGE_KEYS, dtype=np.uint64)])
 
 
@@ -339,14 +340,14 @@ class TestHashArray:
 
 
 def keys_with_repeats(seed, size, distinct):
-    """`size` keys drawn with replacement from `distinct` wide keys (the
-    edge keys among them), in an unsorted order of first occurrence."""
+    """`size` keys drawn with replacement from `distinct` keys (the edge
+    keys among them), in an unsorted order of first occurrence."""
     pool = batch_keys(seed)[-distinct:]
     return pool[derived_rng(seed, 1).integers(0, distinct, size=size)]
 
 
 def fresh_batch(kind, seed, size, distinct):
-    """`distinct` distinct wide keys (the edge keys among them) in an
+    """`distinct` distinct keys (the edge keys among them) in an
     unsorted order, or `size` keys drawn from them with replacement."""
     if kind == "repeats":
         return keys_with_repeats(seed, size, distinct)
@@ -455,15 +456,59 @@ def test_hash_array_refuses_keys_a_cast_would_alias(keys, error):
             assert same_stream(h, fresh) and h._pending is None and not h._memo
 
 
+# the one key universe [0, p): in-range keys and keys every form refuses
+IN_RANGE_KEYS = [0, 1, P - 2, P - 1]
+OUT_OF_RANGE_KEYS = [-1, P, P + 1, 2**63, 2**64 - 1, 2**64, 1.5, None]
+
+
+def key_forms(t, seed):
+    """(name, scalar, batch, store) for every family of `all_families` and
+    every filter placement: batch maps a key array to the scalar values in
+    key order, and store is a `ProbeTable` or `SignatureFilter` on the form."""
+    for h in all_families(t, seed):
+        yield (type(h).__name__, h, lambda keys, h=h: h.hash_array(keys).tolist(),
+               ProbeTable(t, lambda x, h=h: h(x) & (t - 1)))  # full-width outputs too
+    for mode in MODES:
+        place, place_array = _placement(t, 8, mode, seed, stream=1)
+        yield (mode, place, lambda keys, f=place_array: list(zip(*(a.tolist() for a in f(keys)))),
+               SignatureFilter(t, place))
+
+
+@pytest.mark.parametrize("t", [2, 2**10])
+def test_scalar_and_batch_share_one_key_universe(t):
+    keys = np.concatenate([np.array(IN_RANGE_KEYS, dtype=np.uint64),
+                           derived_rng(t, 1).integers(0, P, size=500, dtype=np.uint64)])
+    for name, scalar, batch, store in key_forms(t, seed=14):
+        assert batch(keys) == [scalar(k) for k in keys.tolist()], name
+        for x in keys.tolist()[: t // 2]:
+            store.insert(x)
+        table = getattr(store, "table", store)
+        before = (list(table.slots), table.n)
+        rng = getattr(scalar, "_rng", None)
+        state = rng.bit_generator.state if rng else None
+        for bad in OUT_OF_RANGE_KEYS:
+            error = ValueError if isinstance(bad, int) else TypeError
+            with pytest.raises(error):
+                scalar(bad)
+            with pytest.raises(error):
+                store.insert(bad)
+            array = np.array([bad])  # numpy holds 2^64 and None as objects, 1.5 as a float
+            with pytest.raises(ValueError if array.dtype.kind in "iu" else TypeError):
+                batch(array)
+        assert (table.slots, table.n) == before, name  # a refused insert writes nothing
+        if rng:  # a truly random function draws nothing for a refused key
+            assert rng.bit_generator.state == state, name
+
+
 def test_hash_array_takes_signed_batches():
-    wide = batch_keys(13)
-    signed = (wide >> 1).astype(np.int64)  # every key below 2^63, P - 1 and P among them
+    unsigned = batch_keys(13)
+    signed = unsigned.astype(np.int64)  # every key is below p < 2^63, P - 1 among them
     for h in all_families(2**10, seed=13):
         got = h.hash_array(signed)
         assert got.dtype == np.uint64, type(h).__name__
         assert got.tolist() == h.hash_array(signed.astype(np.uint64)).tolist()
         assert got.tolist() == [h(k) for k in signed.tolist()]
-    assert _key_array(wide) is wide  # a uint64 batch: no copy
+    assert _key_array(unsigned) is unsigned  # a uint64 batch: no copy
 
 
 @pytest.mark.filterwarnings("error")  # an overflow warning fails the test
@@ -484,9 +529,7 @@ def test_scalar_hash_takes_numpy_integers(family):
     keys = batch_keys(9).tolist()
     batch = h.hash_array(np.array(keys, dtype=np.uint64)).tolist()
     for k, want in zip(keys, batch):
-        assert h(np.uint64(k)) == h(k) == want
-        if k < 2**63:
-            assert h(np.int64(k)) == want
+        assert h(np.uint64(k)) == h(np.int64(k)) == h(k) == want
         assert ProbeTable(t, h).insert(np.uint64(k)) == (want, 1)
     for bad in (1.0, np.float64(1.0), "a", None):
         with pytest.raises(TypeError):

@@ -467,7 +467,7 @@ def test_hypothesis_fill_invariant_and_model(case):
             else:
                 with pytest.raises(TableFullError):
                     table.insert(x)
-            if len(flt_model) < t - 1:
+            if x in flt_model or len(flt_model) < t - 1:
                 assert flt.insert(x) == (x not in flt_model)
                 flt_model.setdefault(x)
             else:
