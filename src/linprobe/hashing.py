@@ -59,25 +59,26 @@ def _reduce61(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _key(x) -> int:
-    """x as a Python int in [0, p), the key universe of every family, scalar and
-    batch alike: `TypeError` for a non-integer, `ValueError` outside [0, p)."""
+def _key(x, bound: int = MERSENNE61) -> int:
+    """x as a Python int in [0, bound), bound <= p: [0, p) is the key universe
+    of every family, scalar and batch alike, narrowed only by a narrow
+    tabulation.  `TypeError` for a non-integer, `ValueError` outside."""
     x = operator.index(x)
-    if not 0 <= x < MERSENNE61:
-        raise ValueError(f"key {x} outside [0, 2^61 - 1)")
+    if not 0 <= x < bound:
+        raise ValueError(f"key {x} outside [0, {bound})")
     return x
 
 
-def _key_array(keys) -> np.ndarray:
+def _key_array(keys, bound: int = MERSENNE61) -> np.ndarray:
     """`keys` as a uint64 array, by the rule of `_key`: `TypeError` for a
-    non-integer dtype, `ValueError` for a key outside [0, p) (a negative key
-    casts to one of at least 2^63).  A uint64 array passes with no copy."""
+    non-integer dtype, `ValueError` for a key outside [0, bound) (a negative
+    key casts to one of at least 2^63).  A uint64 array passes with no copy."""
     x = np.asarray(keys)
     if x.size and x.dtype.kind not in "iu":
         raise TypeError(f"keys must be integers, not {x.dtype}")
     x = x.astype(np.uint64, copy=False)
-    if x.size and x.max() >= MERSENNE61:
-        raise ValueError("keys must lie in [0, 2^61 - 1)")
+    if x.size and x.max() >= bound:
+        raise ValueError(f"keys must lie in [0, {bound})")
     return x
 
 
@@ -218,6 +219,9 @@ class TabulationHash:
             raise ValueError("table entry out of output range")
         tables.flags.writeable = False
         object.__setattr__(self, "tables", tables)
+        # keys lie in [0, p) and in the characters' bits: a wider key would alias
+        key_bits = self.char_count * self.char_bits
+        object.__setattr__(self, "_key_bound", min(MERSENNE61, 1 << key_bits))
 
     @cached_property
     def _rows(self) -> list[list[int]]:
@@ -229,7 +233,7 @@ class TabulationHash:
         return 1 << self.output_bits
 
     def __call__(self, x: int) -> int:
-        x, mask = _key(x), (1 << self.char_bits) - 1
+        x, mask = _key(x, self._key_bound), (1 << self.char_bits) - 1
         out = 0
         for row in self._rows:
             out ^= row[x & mask]
@@ -238,7 +242,7 @@ class TabulationHash:
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every key, as a uint64 array."""
-        x = _key_array(keys)
+        x = _key_array(keys, self._key_bound)
         mask = (1 << self.char_bits) - 1
         out = np.zeros(x.shape, dtype=np.uint64)
         for j, row in enumerate(self.tables):

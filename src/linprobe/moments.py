@@ -4,6 +4,7 @@ forms, brute-force enumeration oracles, and tail-probability reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +18,9 @@ __all__ = ["BernoulliProfile", "TailReport", "brute_force_moment", "exact_fourth
     "fourth_moment_bound", "fourth_moment_bound_sharp", "kth_moment_bound_check",
     "kth_moment_bound_terms", "sum_distribution", "tail_check"]
 
-ENUM_LIMIT = 20
+ENUM_LIMIT = 20  # bounds time: enumeration memory does not grow with n
+_BLOCK_BITS = 14  # outcomes are enumerated 2^14 at a time
+_CHUNK_VARIABLES = 1 << 16  # Monte Carlo draws at most this many variables at a time
 
 
 @dataclass(frozen=True)
@@ -60,26 +63,33 @@ def exact_fourth_moment(profile: BernoulliProfile) -> float:
     return diag + cross
 
 
-def _outcomes(profile: BernoulliProfile, x0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probability and success count of each of the 2^n outcomes, and the
-    n + 1 values x0 + j, adding 1 per success.  Limited to n <= ENUM_LIMIT."""
+def _outcome_blocks(profile: BernoulliProfile):
+    """Probability and success count of each of the 2^n outcomes (variable i
+    is bit i of the outcome), in outcome order and in blocks of at most
+    2^_BLOCK_BITS, so memory does not grow with n.  Each probability is the
+    product of its factors in variable order.  Limited to n <= ENUM_LIMIT."""
     if profile.n > ENUM_LIMIT:
         raise ValueError(f"n = {profile.n} exceeds enumeration limit {ENUM_LIMIT}")
-    probs = np.array([1.0])
+    low, high = profile.probabilities[:_BLOCK_BITS], profile.probabilities[_BLOCK_BITS:]
+    base = np.array([1.0])
     succ = np.zeros(1, dtype=np.uint8)
-    values = [x0]
-    for p in profile.probabilities:
-        probs = np.concatenate([probs * (1 - p), probs * p])
+    for p in low:
+        base = np.concatenate([base * (1 - p), base * p])
         succ = np.concatenate([succ, succ + 1])
-        values.append(values[-1] + 1)  # x0 + j in one add can round differently
-    return probs, succ, np.array(values, dtype=float)
+    for h in range(1 << len(high)):
+        probs = base
+        for j, p in enumerate(high):
+            probs = probs * (p if h >> j & 1 else 1 - p)
+        yield probs, succ + h.bit_count()
 
 
 def sum_distribution(profile: BernoulliProfile) -> np.ndarray:
     """Exact distribution of X = sum X_i as an array of length n+1, built by
     enumerating all 2^n outcomes.  Limited to n <= ENUM_LIMIT."""
-    probs, succ, _ = _outcomes(profile, 0)
-    return np.bincount(succ, weights=probs, minlength=profile.n + 1)
+    dist = np.zeros(profile.n + 1)
+    for probs, succ in _outcome_blocks(profile):
+        np.add.at(dist, succ, probs)  # one add per outcome, in outcome order
+    return dist
 
 
 def brute_force_moment(profile: BernoulliProfile, k: int) -> float:
@@ -88,8 +98,12 @@ def brute_force_moment(profile: BernoulliProfile, k: int) -> float:
     n + 1 deviation powers is taken once and spread over its outcomes."""
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError("k must be a non-negative integer")
-    probs, succ, devs = _outcomes(profile, -profile.mu)
-    return math.fsum((probs * (devs**k)[succ]).tolist())
+    devs = [-profile.mu]
+    for _ in range(profile.n):
+        devs.append(devs[-1] + 1)  # -mu + j in one add can round differently
+    powers = np.array(devs) ** k
+    return math.fsum(itertools.chain.from_iterable(
+        (probs * powers[succ]).tolist() for probs, succ in _outcome_blocks(profile)))
 
 
 def fourth_moment_bound(mu: float) -> float:
@@ -175,7 +189,7 @@ def tail_check(
         rng = derived_rng(seed, 0)
         ps = np.array(profile.probabilities)
         hits = 0
-        chunk = 1 << 11
+        chunk = max(1, _CHUNK_VARIABLES // profile.n)
         done = 0
         while done < trials:
             m = min(chunk, trials - done)

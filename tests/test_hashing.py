@@ -158,6 +158,19 @@ class TestTabulation:
             )
             assert (h(x) ^ h(y) == 0) == (lookups == 0)
 
+    @pytest.mark.parametrize("c,char_bits", [(1, 8), (2, 4), (2, 16), (3, 8)])
+    def test_narrow_key_width_refuses_wider_keys(self, c, char_bits):
+        # a key at or above 2^(c * char_bits) would alias onto its low bits:
+        # with c = 1, char_bits = 8, h(256) would equal h(0)
+        h = new_tabulation(c, char_bits, 16, seed=0)
+        top = (1 << c * char_bits) - 1
+        assert h.hash_array(np.array([0, top])).tolist() == [h(0), h(top)]
+        for bad in (top + 1, top + 2, P - 1):
+            with pytest.raises(ValueError):
+                h(bad)
+            with pytest.raises(ValueError):
+                h.hash_array(np.array([0, bad], dtype=np.uint64))
+
     def test_rejects_overflowing_widths(self):
         with pytest.raises(ValueError):
             new_tabulation(5, 16, 32, seed=0)

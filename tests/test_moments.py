@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from linprobe import moments
 from linprobe.hashing import derived_rng, new_polynomial
 from linprobe.moments import (
     BernoulliProfile,
@@ -37,6 +39,33 @@ def reference_outcomes(profile, x0):
         probs = np.concatenate([probs * (1 - p), probs * p])
         values = np.concatenate([values, values + 1])
     return probs, values
+
+
+def assert_moments_exact(profile):
+    for k in range(9):
+        assert brute_force_moment(profile, k) == reference_moment(profile, k)
+
+
+def assert_distribution_exact(profile):
+    dist = sum_distribution(profile)
+    assert dist.dtype == np.float64 and dist.shape == (profile.n + 1,)
+    assert (dist == reference_distribution(profile)).all()
+
+
+def traced_peak_mb(fn, *args, **kwargs):
+    """The tracemalloc peak, in MB, of one call of fn."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+# here -mu + 5 is one ulp away from -mu + 1 + 1 + 1 + 1 + 1
+ONE_ULP_PROFILE = BernoulliProfile((0.11162309008346805, 0.20935861224149577,
+                                    0.058402840139695655, 0.09998391007885199,
+                                    0.4730885225333248))
 
 
 def reference_moment(profile, k):
@@ -108,24 +137,48 @@ class TestBruteForce:
         assert brute_force_moment(p, np.int64(4)) == brute_force_moment(p, 4)
 
     @given(edge_profiles)
-    # here -mu + 5 is one ulp away from -mu + 1 + 1 + 1 + 1 + 1
-    @example(BernoulliProfile((0.11162309008346805, 0.20935861224149577, 0.058402840139695655,
-                               0.09998391007885199, 0.4730885225333248)))
+    @example(ONE_ULP_PROFILE)
     @settings(max_examples=200, deadline=None)
     def test_moments_equal_per_outcome_enumeration(self, profile):
-        for k in range(9):
-            assert brute_force_moment(profile, k) == reference_moment(profile, k)
+        assert_moments_exact(profile)
 
     @given(edge_profiles)
     @settings(max_examples=200, deadline=None)
     def test_distribution_equals_per_outcome_enumeration(self, profile):
-        dist = sum_distribution(profile)
-        assert dist.dtype == np.float64 and dist.shape == (profile.n + 1,)
-        assert (dist == reference_distribution(profile)).all()
+        assert_distribution_exact(profile)
+
+    @given(edge_profiles)
+    @example(ONE_ULP_PROFILE)
+    @settings(max_examples=40, deadline=None)  # 2^14 blocks of 4 at n = 16, 9 moments each
+    def test_moments_exact_across_blocks_of_four(self, profile):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "_BLOCK_BITS", 2)
+            assert_moments_exact(profile)
+
+    @given(edge_profiles)
+    @settings(max_examples=100, deadline=None)  # 2^14 blocks of 4 at n = 16
+    def test_distribution_exact_across_blocks_of_four(self, profile):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(moments, "_BLOCK_BITS", 2)
+            assert_distribution_exact(profile)
 
     def test_distribution_equals_per_outcome_enumeration_at_n_20(self):
         profile = BernoulliProfile(tuple(derived_rng(12, 0).random(20)))
         assert (sum_distribution(profile) == reference_distribution(profile)).all()
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 17, 20])
+    def test_exact_at_block_boundaries(self, n):
+        # one block below, at and above 2^14 outcomes, and 8 and 64 blocks
+        assert moments._BLOCK_BITS == 14
+        profile = BernoulliProfile(tuple(derived_rng(14, n).random(n)))
+        assert_distribution_exact(profile)
+        assert_moments_exact(profile)
+
+    def test_enumeration_memory_does_not_grow_with_n(self):
+        # all 2^20 outcomes held at once take over 20 MB
+        profile = BernoulliProfile(tuple(derived_rng(12, 0).random(20)))
+        assert traced_peak_mb(sum_distribution, profile) < 2
+        assert traced_peak_mb(brute_force_moment, profile, 4) < 2
 
     def test_distribution_sums_to_one(self):
         dist = sum_distribution(BernoulliProfile((0.2, 0.9, 0.4)))
@@ -218,9 +271,12 @@ class TestTailCheck:
             tail_check(BernoulliProfile.uniform(8, 0.5), d=2.0, trials=trials)
 
     def test_sampling_in_chunks_keeps_the_random_stream(self):
-        # past ENUM_LIMIT, with a trial count that leaves a partial chunk
+        # past ENUM_LIMIT, with a trial count that crosses three chunk
+        # boundaries and leaves a partial chunk
         ps = tuple(derived_rng(31, 0).random(24))
-        profile, d, seed, trials = BernoulliProfile(ps), 1.0, 9, 3 * (1 << 11) + 17
+        chunk = moments._CHUNK_VARIABLES // len(ps)
+        assert 17 < chunk < 10**4
+        profile, d, seed, trials = BernoulliProfile(ps), 1.0, 9, 3 * chunk + 17
         rep = tail_check(profile, d=d, trials=trials, seed=seed)
         assert not rep.exact
         mu = profile.mu
@@ -229,6 +285,11 @@ class TestTailCheck:
         prob = int((np.abs(x - mu) >= cut).sum()) / trials
         assert rep.empirical_prob == prob
         assert rep.std_error == math.sqrt(max(prob * (1 - prob), 1e-12) / trials)
+
+    def test_sampling_memory_does_not_grow_with_trials(self):
+        # 2^11 rows of 256 variables at a time take 4.8 MB
+        profile = BernoulliProfile.uniform(256, 0.5)
+        assert traced_peak_mb(tail_check, profile, d=2.0, trials=10**5, seed=3) < 2
 
     def test_chebyshev_dominated_iff_d_at_least_two(self):
         for d in (1.0, 1.5, 1.99, 2.0, 2.5, 4.0):
