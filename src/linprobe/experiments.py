@@ -27,7 +27,6 @@ from .hashing import (
     TrulyRandomHash,
     derived_rng,
     derived_seed,
-    new_linear,
     new_polynomial,
     new_tabulation,
 )
@@ -46,9 +45,11 @@ FAMILIES = ("poly2", "poly3", "poly5", "linear", "tabulation", "random")
 SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead of uniform
 
 MAX_TABLE = 1 << 24  # slots: the widest table a config may ask for (each trial allocates one)
-# Each integer field of ExperimentConfig, its (or each entry's) least value, and if it is one int.
-_INT_FIELDS = (("n_values", 1, False), ("b_values", 1, False), ("levels", 0, False),
-               ("table_trials", 1, True), ("query_trials", 1, True), ("seed", 0, True))
+# The fields of ExperimentConfig that hold a tuple (a list in JSON); the rest hold one value.
+_LIST_FIELDS = ("families", "n_values", "b_values", "modes", "levels")
+# Each integer field of ExperimentConfig and its (or each entry's) least value.
+_INT_FIELDS = (("n_values", 1), ("b_values", 1), ("levels", 0), ("table_trials", 1),
+               ("query_trials", 1), ("seed", 0))
 
 MAX_RUN_SLACK = 16  # test constant for the max-run O(log n) claim
 THREE_INDEP_SLACK = 8  # test constant for the 3-independent O(log n) claim
@@ -59,8 +60,8 @@ def make_family(name: str, t: int, seed: int, stream: int):
     base = name.removesuffix("_seq")
     if base in ("poly2", "poly3", "poly5"):
         return new_polynomial(int(base[-1]), t, seed, stream=stream)
-    if base == "linear":
-        return new_linear(t, seed, stream=stream)
+    if base == "linear":  # x -> (a*x + b) mod p is the degree-1 polynomial: poly2
+        return new_polynomial(2, t, seed, stream=stream)
     if base == "tabulation":
         log_t = t.bit_length() - 1
         return new_tabulation(TABULATION_CHARS, TABULATION_CHAR_BITS, log_t, seed, stream=stream)
@@ -94,14 +95,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name in _LIST_FIELDS:  # a list or tuple, held as a tuple; never a str
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         for family in self.families:
             if family not in FAMILIES and family not in SEQ_FAMILIES:
                 raise ValueError(f"unknown hash family {family!r}")
+        if isinstance(self.load_target, bool) or not isinstance(self.load_target, (int, float)):
+            raise ValueError(f"load_target must be a real number, got {self.load_target!r}")
         if not 0 < self.load_target < 1:
             raise ValueError("load target must lie in (0, 1)")
-        for name, least, scalar in _INT_FIELDS:
+        for name, least in _INT_FIELDS:
             value = getattr(self, name)
-            for v in (value,) if scalar else value:
+            for v in value if name in _LIST_FIELDS else (value,):
                 if isinstance(v, bool) or not isinstance(v, int):
                     raise ValueError(f"{name} must be integers, got {value!r}")
                 if v < least:
@@ -122,10 +130,6 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        raw = dict(raw)
-        for key in ("families", "n_values", "b_values", "modes", "levels"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
     @classmethod

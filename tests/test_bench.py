@@ -1,10 +1,9 @@
 """The benchmark's traced self-test as a tier-1 test.  A traced run counts
 the probes of every ProbeTable.insert and search span and checks them
 against the probe sums the rows state, so the experiments must keep every
-insert and absent search on ProbeTable, with exact probe counts.  An
-untraced `moments` run at seed 42 checks every pass against that seed's
-pinned digest too, and so does an untraced `occupancy` run, whose
-histograms hash the random family's keys in one batch."""
+insert and absent search on ProbeTable, with exact probe counts.  Each run
+checks every pass against its seed's pinned digest: the traced runs at
+seed 0, and an untraced run of every workload at seed 42."""
 
 import json
 import subprocess
@@ -31,9 +30,6 @@ def test_traced_self_test_passes(workload):
     run_bench(workload, seed=0, trace=1)
 
 
-def test_moments_matches_seed_42_pin():
-    run_bench("moments", seed=42, trace=0)
-
-
-def test_occupancy_matches_seed_42_pin():
-    run_bench("occupancy", seed=42, trace=0)
+@pytest.mark.parametrize("workload", ["probe_cost", "filter_fpr", "occupancy", "moments"])
+def test_matches_seed_42_pin(workload):
+    run_bench(workload, seed=42, trace=0)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import types
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from linprobe.experiments import (
     rows_to_json,
     run_experiment,
 )
-from linprobe.hashing import TrulyRandomHash, derived_rng
+from linprobe.hashing import MERSENNE61, PolynomialHash, TrulyRandomHash, derived_rng
 from linprobe.probing import ProbeTable, occupancy, runs, table_size_for
 
 import numpy as np
@@ -379,6 +380,10 @@ class TestFilterFpr:
         assert all(r.b == 8 for r in rows)
 
 
+# config fields of the wrong shape: a str or an object for a list, a str for a number
+WRONG_SHAPE = [{"families": "poly2"}, {"levels": 5}, {"load_target": "0.5"}, {"families": {}}]
+
+
 class TestCli:
     def run(self, tmp_path, *args):
         return cli_main(list(args))
@@ -428,7 +433,8 @@ class TestCli:
                                      {"seed": [1]}, {"seed": []}, {"table_trials": [2]},
                                      {"n_values": [300], "load_target": 1e-9},  # t = 2^39
                                      {"experiment": "filter_fpr", "b_values": [65],
-                                      "modes": ["independent"], "query_trials": 10}])
+                                      "modes": ["independent"], "query_trials": 10},
+                                     *WRONG_SHAPE])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         experiment = bad.get("experiment", "max_run")
         cfg = tmp_path / "cfg.json"
@@ -436,7 +442,10 @@ class TestCli:
         out = tmp_path / "x.csv"
         rc = cli_main(["--experiment", experiment, "--config", str(cfg), "--out", str(out)])
         assert rc == 2 and not out.exists()
-        assert "error: bad config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: bad config" in err
+        if bad in WRONG_SHAPE:  # the message names the field
+            assert f"{next(iter(bad))} must be" in err
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -516,3 +525,22 @@ def test_make_family_names():
         assert all(0 <= h(x) < 64 for x in range(100))
     with pytest.raises(ValueError):
         make_family("md5", 64, seed=1, stream=0)
+
+
+def test_linear_family_is_poly2():
+    # x -> (a*x + b) mod p is the degree-1 polynomial: the same draw, the same
+    # values scalar and batch, and the same rows but for the family's name
+    keys = np.concatenate([np.arange(64, dtype=np.uint64),
+                           derived_rng(3, 0).integers(0, MERSENNE61, 500, dtype=np.uint64)])
+    for stream in range(8):
+        lin, poly = make_family("linear", 2**10, 5, stream), make_family("poly2", 2**10, 5, stream)
+        assert type(lin) is PolynomialHash and lin == poly
+        assert lin.hash_array(keys).tolist() == poly.hash_array(keys).tolist() \
+            == [lin(k) for k in keys.tolist()] == [poly(k) for k in keys.tolist()]
+    rows = {name: run_experiment(tiny_config("probe_cost", families=(name, f"{name}_seq"),
+                                             n_values=(64, 256), table_trials=2,
+                                             query_trials=200))
+            for name in ("linear", "poly2")}
+    assert len(rows["linear"]) == 16
+    assert [replace(r, family=r.family.replace("linear", "poly2")) for r in rows["linear"]] \
+        == rows["poly2"]

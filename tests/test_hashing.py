@@ -6,17 +6,16 @@ import pytest
 
 from linprobe.hashing import (
     MERSENNE61,
-    LinearHash,
     PolynomialHash,
     TabulationHash,
     TrulyRandomHash,
     derived_rng,
-    new_linear,
     new_polynomial,
     new_tabulation,
     verify_independence_exact,
     _key_array,
 )
+from linprobe.experiments import make_family
 from linprobe.filters import MODES, SignatureFilter, _placement, sample_distinct_keys
 from linprobe.probing import ProbeTable
 
@@ -38,16 +37,32 @@ class TestNewPolynomial:
         h = new_polynomial(5, 2**56, seed=3)  # the widest range the 24t guard allows
         assert all(0 <= a < P for a in h.coefficients)
 
-    @pytest.mark.parametrize("coeffs", [(P,), (0, P), (-1, 2), (P + 5, 0, 1)])
+    @pytest.mark.parametrize("coeffs", [(P,), (0, P), (-1, 2), (P + 5, 0, 1), (P, 0), (0, -1)])
     def test_rejects_non_residue_coefficients(self, coeffs):
         with pytest.raises(ValueError, match="residues"):
             PolynomialHash(coeffs, 4)
+
+    def test_coefficients_are_python_ints(self):
+        # numpy coefficients are stored as the Python ints they stand for, so
+        # the scalar Horner loop cannot wrap modulo 2^64
+        c, t, x = (123456789012345, 987654321098765, 555555555555555), 2**16, 2**50 + 12345
+        twin = PolynomialHash(c, t)
+        for given in (tuple(np.uint64(a) for a in c), np.array(c, dtype=np.int64), list(c)):
+            h = PolynomialHash(given, t)
+            assert all(type(a) is int for a in h.coefficients)
+            assert h == twin and hash(h) == hash(twin)
+            assert h(x) == twin(x) == int(h.hash_array([x])[0]) == 42667
+        for bad in ((2, 1.5), (2.0,), (np.float64(3),), ("1",), (None, 1)):
+            with pytest.raises(TypeError):
+                PolynomialHash(bad, 8)
 
     def test_degree_zero_is_constant(self):
         h = new_polynomial(1, 8, seed=1)
         values = {h(x) for x in range(100)}
         assert len(values) == 1
         assert values == {h.coefficients[0] % P % 8}
+        flat = PolynomialHash((5, 0), 4)  # slope 0: x -> 0*x + 5
+        assert {flat(x) for x in [*range(7), P - 2, P - 1]} == {5 % 4}
 
     @pytest.mark.parametrize("t", [0, 3, 12, 1000])
     def test_rejects_non_power_of_two(self, t):
@@ -74,6 +89,8 @@ class TestEvalPoly:
         assert h(P - 1) == (P - 1) % 4
 
     def test_coefficient_near_p_wraps(self):
+        # slope p - 1: (p - 1) * 5 + 2 = -3 (mod p)
+        assert PolynomialHash(coefficients=(2, P - 1), range_t=8)(5) == (P - 3) % 8
         h = PolynomialHash(coefficients=(P - 1, 1), range_t=8)
         # x + p - 1 = x - 1 (mod p): wraps for every x >= 1
         assert h.eval_mod_p(0) == P - 1
@@ -96,30 +113,6 @@ class TestEvalPoly:
             x = int(x)
             naive = sum(a * x**i for i, a in enumerate(h.coefficients)) % P % 2**12
             assert h(x) == naive
-
-
-class TestLinear:
-    def test_degenerate_slope_is_constant(self):
-        h = LinearHash(a=0, b=5, range_t=4)
-        assert {h(x) for x in [*range(7), P - 2, P - 1]} == {5 % 4}
-
-    def test_small_coefficient_arithmetic(self):
-        h = LinearHash(a=3, b=2, range_t=4)
-        assert h(5) == 1  # 3*5 + 2 = 17; 17 mod 4 = 1
-        # a = p - 1: (p - 1) * 5 + 2 = -3 (mod p)
-        assert LinearHash(a=P - 1, b=2, range_t=8)(5) == (P - 3) % 8
-
-    @pytest.mark.parametrize("a,b", [(P, 0), (0, P), (-1, 0)])
-    def test_rejects_non_residues(self, a, b):
-        with pytest.raises(ValueError, match="residues"):
-            LinearHash(a=a, b=b, range_t=4)
-
-    def test_matches_degree_one_polynomial(self):
-        lin = new_linear(2**10, seed=21)
-        poly = PolynomialHash(coefficients=(lin.b, lin.a), range_t=lin.range_t)
-        rng = derived_rng(22, 0)
-        for x in rng.integers(0, P, size=10**4, dtype=np.uint64):
-            assert lin(int(x)) == poly(int(x))
 
 
 class TestTabulation:
@@ -302,7 +295,7 @@ def all_families(t, seed):
         new_polynomial(2, t, seed, stream=1),
         new_polynomial(3, t, seed, stream=2),
         new_polynomial(5, t, seed, stream=3),
-        new_linear(t, seed, stream=4),
+        make_family("linear", t, seed, stream=4),
         PolynomialHash((P - 1,) * 5, t),  # largest residues
         PolynomialHash((0, 1), t),  # x mod p: key p must give 0
         new_tabulation(4, 16, t.bit_length() - 1, seed, stream=5),
@@ -532,7 +525,7 @@ def test_scalar_hash_takes_numpy_integers(family):
     # wrapping 64-bit arithmetic, and lands in the same table slot
     t = 2**13
     if family == "linear":
-        h = new_linear(t, 8)
+        h = make_family("linear", t, 8, 0)
     elif family == "tabulation":
         h = new_tabulation(4, 16, 13, 8)
     elif family == "random":
