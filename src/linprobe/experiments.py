@@ -47,6 +47,8 @@ SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead 
 MAX_TABLE = 1 << 24  # slots: the widest table a config may ask for (each trial allocates one)
 # The fields of ExperimentConfig that hold a tuple (a list in JSON); the rest hold one value.
 _LIST_FIELDS = ("families", "n_values", "b_values", "modes", "levels")
+# The list fields an experiment reads beyond families and n_values; none may be empty.
+_READ_LISTS = {"filter_fpr": ("modes", "b_values"), "interval_concentration": ("levels",)}
 # Each integer field of ExperimentConfig and its (or each entry's) least value.
 _INT_FIELDS = (("n_values", 1), ("b_values", 1), ("levels", 0), ("table_trials", 1),
                ("query_trials", 1), ("seed", 0))
@@ -100,6 +102,9 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {value!r}")
             object.__setattr__(self, name, tuple(value))
+        for name in ("families", "n_values", *_READ_LISTS.get(self.experiment, ())):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty for {self.experiment}")
         for family in self.families:
             if family not in FAMILIES and family not in SEQ_FAMILIES:
                 raise ValueError(f"unknown hash family {family!r}")

@@ -162,8 +162,10 @@ def measure_fpr(
     stream: int = 0,
 ) -> FprReport:
     """Build a filter over n random keys, as a `ProbeTable` of signatures
-    inserted at their batch-placed starts, and measure the false-positive
-    rate on `trials` non-member queries.
+    inserted in order at their batch-placed starts, and measure the
+    false-positive rate on `trials` non-member queries in one numpy kernel.
+    It reads the filter as arrays written at the positions the inserts
+    return; a skipped duplicate returns the slot of its equal signature.
 
     A shadow table of the keys at the same starts counts, per query, the
     keys scanned to the first empty slot; their mean scales the FPR bound.
@@ -177,13 +179,19 @@ def measure_fpr(
     rng = derived_rng(seed, stream + 1_000_003)
     drawn = sample_distinct_keys(rng, n + trials, MERSENNE61)
     starts, sigs = place_array(drawn)  # every key in one batch
-    keys = drawn.tolist()
-    for x, start, sig in zip(keys[:n], starts[:n].tolist(), sigs[:n].tolist()):
-        flt.insert(sig, start)
+    key_starts = starts[:n].tolist()
+    positions = [flt.insert(sig, start)[0] for sig, start in zip(sigs[:n].tolist(), key_starts)]
+    for x, start in zip(drawn[:n].tolist(), key_starts):
         shadow.insert(x, start)
-    false_pos = int(_scan_found(flt.slots, starts[n:], sigs[n:]).sum())
-    scan_total = sum(shadow.search(q, start).probes - 1
-                     for q, start in zip(keys[n:], starts[n:].tolist()))
+    occupied, values = np.zeros(t, dtype=bool), np.zeros(t, dtype=np.uint64)
+    occupied[positions], values[positions] = True, sigs[:n]
+    del key_starts, positions  # no per-key list lives into the queries
+    false_pos = int(_scan_found(values, occupied, starts[n:], sigs[n:]).sum())
+    scan_total = 0
+    for lo in range(n, n + trials, 1 << 14):  # so the queries' ints never all live at once
+        hi = lo + (1 << 14)
+        scan_total += sum(shadow.search(q, start).probes - 1
+                          for q, start in zip(drawn[lo:hi].tolist(), starts[lo:hi].tolist()))
     return FprReport(
         mode=mode,
         b=b,

@@ -46,32 +46,13 @@ class TableFullError(RuntimeError):
     pass
 
 
-def _scan(slots: list, mask: int, start: int, item) -> tuple[bool, int, int]:
-    """The linear probing scan: from `start`, step cyclically until a slot
-    holds `item` or is empty (None).
-
-    Returns (found, slot, probes), where slot holds `item` or is the empty
-    slot that ended the scan, and probes count that slot too.  The caller
-    keeps at least one slot empty, so the scan ends.
-    """
-    i, probes = start, 1
-    while True:
-        s = slots[i]
-        if s is None:
-            return False, i, probes
-        if s == item:
-            return True, i, probes
-        i = (i + 1) & mask
-        probes += 1
-
-
-def _scan_found(slots: list, starts: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """`_scan(slots, mask, start, item)[0]` for every start and uint64 item,
-    as one numpy loop over scan offsets k: a pair still scans at offset k
-    while k is below the distance from its start to the next empty slot."""
-    t = len(slots)
-    values = np.array([0 if s is None else s for s in slots], dtype=np.uint64)
-    empty = np.flatnonzero([s is None for s in slots])
+def _scan_found(values: np.ndarray, occupied: np.ndarray, starts: np.ndarray,
+                items: np.ndarray) -> np.ndarray:
+    """Whether the scan from each start finds its uint64 item in the table
+    whose occupied slots hold `values`, as one numpy loop over scan offsets k:
+    a pair still scans while k is below its start's distance to an empty slot."""
+    t = len(values)
+    empty = np.flatnonzero(~occupied)
     slot = np.arange(t)
     to_empty = np.append(empty, empty[0] + t)[np.searchsorted(empty, slot)] - slot
     starts = np.asarray(starts, dtype=np.intp)
@@ -89,9 +70,10 @@ def _scan_found(slots: list, starts: np.ndarray, items: np.ndarray) -> np.ndarra
 class ProbeTable:
     """Open-addressing hash table with cyclic linear probing.
 
-    Probe counts include the terminating slot (empty or match), so they
-    are always >= 1.  Duplicate inserts are no-ops.  A precomputed `start`
-    outside [0, t) is refused; `hash_fn` may be None when every call has one.
+    A scan from `start` to slot i (a match or empty) takes ((i - start) mod
+    t) + 1 >= 1 probes; insert scans in its own loop, so a span traced on
+    `search` counts searches only.  Duplicate inserts are no-ops.  A given
+    `start` outside [0, t) is refused; `hash_fn` may be None if all give one.
     """
 
     def __init__(self, t: int, hash_fn):
@@ -119,13 +101,15 @@ class ProbeTable:
             start = self.hash_fn(x)
         elif not 0 <= start < self.t:
             raise ValueError(f"start slot {start} outside [0, {self.t})")
-        found, i, probes = _scan(self.slots, self.t - 1, start, x)
-        if not found:
-            if self.n >= self.t - 1:
+        slots, mask, i = self.slots, self.t - 1, start
+        while (s := slots[i]) is not None and s != x:
+            i = (i + 1) & mask
+        if s is None:
+            if self.n >= mask:
                 raise TableFullError("cannot insert into a full table")
-            self.slots[i] = x
+            slots[i] = x
             self.n += 1
-        return i, probes
+        return i, ((i - start) & mask) + 1
 
     def search(self, x: int, start: Optional[int] = None) -> SearchResult:
         """Scan from h(x) until x or an empty slot; `start` is h(x)
@@ -136,8 +120,11 @@ class ProbeTable:
             start = self.hash_fn(x)
         elif not 0 <= start < self.t:
             raise ValueError(f"start slot {start} outside [0, {self.t})")
-        found, i, probes = _scan(self.slots, self.t - 1, start, x)
-        return SearchResult(True, i, probes) if found else _absent(probes)
+        slots, mask, i = self.slots, self.t - 1, start
+        while (s := slots[i]) is not None and s != x:
+            i = (i + 1) & mask
+        probes = ((i - start) & mask) + 1
+        return _absent(probes) if s is None else SearchResult(True, i, probes)
 
     def delete(self, x: int) -> None:
         """Remove x and refill the hole by backward shifting.
@@ -147,10 +134,10 @@ class ProbeTable:
         cyclically outside (hole, current].  Stops at the first empty
         slot; the fill invariant is restored.
         """
-        slots, mask = self.slots, self.t - 1
-        found, hole, _ = _scan(slots, mask, self.hash_fn(x), x)
+        found, hole, _ = self.search(x)
         if not found:
             raise KeyError(f"key {x} not in table")
+        slots, mask = self.slots, self.t - 1
         j = (hole + 1) & mask
         while slots[j] is not None:
             hy = self.hash_fn(slots[j])
@@ -168,9 +155,8 @@ def verify_fill_invariant(table: ProbeTable):
     """Check that every stored key's cyclic path from its hash slot to its
     storage slot is fully occupied.  Returns None, or (key, position) for
     the first violation."""
-    slots, mask = table.slots, table.t - 1
-    for pos, x in enumerate(slots):
-        if x is not None and _scan(slots, mask, table.hash_fn(x), x)[:2] != (True, pos):
+    for pos, x in enumerate(table.slots):
+        if x is not None and table.search(x)[:2] != (True, pos):
             return x, pos
     return None
 
@@ -229,11 +215,12 @@ def run_containing(table: ProbeTable, slot: int) -> int:
     slots, mask = table.slots, table.t - 1
     if slots[slot] is None:
         return 0
-    start = slot
+    start = end = slot
     while slots[(start - 1) & mask] is not None:
         start = (start - 1) & mask
-    # a scan for None runs to the first empty slot
-    return _scan(slots, mask, start, None)[2] - 1
+    while slots[(end + 1) & mask] is not None:
+        end = (end + 1) & mask
+    return ((end - start) & mask) + 1
 
 
 def max_run_from_counts(counts: np.ndarray) -> int:

@@ -69,6 +69,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown experiment 'nope'"):
             ExperimentConfig.from_dict({"experiment": "nope"})
 
+    @pytest.mark.parametrize("experiment,name", [
+        *((e, name) for e in sorted(EXPERIMENTS) for name in ("families", "n_values")),
+        ("filter_fpr", "modes"), ("filter_fpr", "b_values"), ("interval_concentration", "levels")])
+    def test_empty_list_the_experiment_reads_refused(self, experiment, name):
+        with pytest.raises(ValueError, match=f"^{name} must not be empty for {experiment}$"):
+            ExperimentConfig(experiment=experiment, **{name: []})
+
+    def test_empty_list_the_experiment_ignores_accepted(self):
+        config = ExperimentConfig(experiment="max_run", modes=[], b_values=[], levels=[])
+        assert config.modes == config.b_values == config.levels == ()
+
     @pytest.mark.parametrize("load", [0.5, 2 / 3, 1e-7])
     def test_table_cap(self, load):
         # the largest n whose table fits MAX_TABLE slots is accepted, one more is not
@@ -446,6 +457,20 @@ class TestCli:
         assert "error: bad config" in err
         if bad in WRONG_SHAPE:  # the message names the field
             assert f"{next(iter(bad))} must be" in err
+
+    @pytest.mark.parametrize("experiment,name", [("max_run", "families"),
+                                                 ("probe_cost", "n_values"),
+                                                 ("filter_fpr", "modes"),
+                                                 ("filter_fpr", "b_values"),
+                                                 ("interval_concentration", "levels")])
+    def test_empty_list_field_is_config_error(self, tmp_path, capsys, experiment, name):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_values": [64], "table_trials": 1, "query_trials": 1,
+                                   name: []}))
+        out = tmp_path / "x.csv"
+        rc = cli_main(["--experiment", experiment, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert f"error: bad config: {name} must not be empty" in capsys.readouterr().err
 
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -22,7 +22,7 @@ from linprobe.hashing import (
     derived_rng,
     new_polynomial,
 )
-from linprobe.probing import ProbeTable, TableFullError, table_size_for
+from linprobe.probing import ProbeTable, TableFullError, table_size_for, _scan_found
 from probe_model import carry_model
 
 
@@ -230,6 +230,33 @@ def test_measure_fpr_matches_scalar_rebuild(mode, t, b, data):
     rep = measure_fpr(t, b, mode, n, trials, seed, stream=stream)
     assert (rep.false_positives, rep.mean_scan_keys) == scalar_fpr(t, b, mode, n, trials, seed,
                                                                    stream)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_measure_fpr_arrays_from_positions_equal_slots(monkeypatch, mode):
+    # at b = 1 many inserts are skipped duplicates (under hash_of_signature,
+    # whose keys start at one of two slots, nearly all), each returning the
+    # slot of its equal signature; the query kernel's arrays, written from
+    # the returned positions, equal the arrays read from the filter's slots
+    tables, arrays = [], []
+
+    class Recorded(ProbeTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    def recording(values, occupied, starts, items):
+        arrays.append((values.tolist(), occupied.tolist()))
+        return _scan_found(values, occupied, starts, items)
+
+    monkeypatch.setattr(filters, "ProbeTable", Recorded)
+    monkeypatch.setattr(filters, "_scan_found", recording)
+    t = 1 << 10
+    n = t - 1  # a filter full but one, were no insert skipped
+    measure_fpr(t, 1, mode, n, 200, seed=5)
+    slots = tables[0].slots  # the filter; tables[1] is the shadow table
+    assert tables[0].n < 3 * n // 4  # a quarter of the inserts or more were skipped
+    assert arrays == [([0 if s is None else s for s in slots], [s is not None for s in slots])]
 
 
 @pytest.mark.parametrize("mode", MODES)

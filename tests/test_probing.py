@@ -22,7 +22,6 @@ from linprobe.probing import (
     runs,
     table_size_for,
     verify_fill_invariant,
-    _scan,
     _scan_found,
 )
 
@@ -37,6 +36,18 @@ class FixedHash:
 
     def __call__(self, x):
         return self.mapping.get(x, self.default)
+
+
+def plain_scan(slots, start, item):
+    """Reference linear probing scan as a plain loop: (found, slot, probes),
+    counting probes one by one from `start` to the slot that holds `item`
+    or is empty.  The slot list must have an empty slot."""
+    t = len(slots)
+    for probes in range(1, t + 1):
+        i = (start + probes - 1) % t
+        if slots[i] is None or slots[i] == item:
+            return slots[i] is not None, i, probes
+    raise AssertionError("the scan found no empty slot")
 
 
 def build(t, mapping, keys):
@@ -546,10 +557,55 @@ def scan_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_scan_found_matches_scan(case):
     slots, pairs = case
+    values = np.array([0 if s is None else s for s in slots], dtype=np.uint64)
+    occupied = np.array([s is not None for s in slots], dtype=bool)
     starts = np.array([s for s, _ in pairs], dtype=np.intp)
     items = np.array([x for _, x in pairs], dtype=np.uint64)
-    expected = [_scan(slots, len(slots) - 1, s, x)[0] for s, x in pairs]
-    assert _scan_found(slots, starts, items).tolist() == expected
+    expected = [plain_scan(slots, s, x)[0] for s, x in pairs]
+    assert _scan_found(values, occupied, starts, items).tolist() == expected
+
+
+@st.composite
+def probe_cases(draw):
+    """A table size t, the hash slot of each key 0..20 (slot t - 1 drawn
+    often, so runs wrap), and operations: insert or search a key, from its
+    hash slot or the same slot passed as `start`, or search for None from
+    a drawn start."""
+    t = 1 << draw(st.integers(0, 4))
+    slot = st.just(t - 1) | st.integers(0, t - 1)
+    mapping = dict(enumerate(draw(st.lists(slot, min_size=21, max_size=21))))
+    op = st.tuples(st.sampled_from(["ins", "search"]), st.integers(0, 20), st.booleans())
+    ops = draw(st.lists(op | st.tuples(st.just("none"), slot, st.just(True)), max_size=40))
+    return t, mapping, ops
+
+
+@given(probe_cases())
+# every key starts at t - 1: the run wraps, the table fills to n = t - 1,
+# a present key re-inserts, an absent one is refused, and a search for
+# None scans the whole run
+@example((4, {x: 3 for x in range(21)}, [("ins", 0, False), ("ins", 1, True), ("ins", 2, False),
+                                          ("ins", 1, False), ("ins", 3, True), ("search", 3, False),
+                                          ("search", 2, True), ("none", 3, True), ("none", 2, True)]))
+@settings(max_examples=300, deadline=None)
+def test_insert_and_search_match_plain_scan(case):
+    t, mapping, ops = case
+    table = ProbeTable(t, FixedHash(t, mapping))
+    reference = [None] * t
+    for op, x, explicit in ops:
+        start = x if op == "none" else mapping[x]
+        arg = (start,) if explicit else ()
+        found, i, probes = plain_scan(reference, start, None if op == "none" else x)
+        if op == "search":
+            assert table.search(x, *arg) == (found, i if found else None, probes)
+        elif op == "none":
+            assert table.search(None, start) == (False, None, probes)
+        elif found or reference.count(None) > 1:
+            assert table.insert(x, *arg) == (i, probes)
+            reference[i] = x
+        else:
+            with pytest.raises(TableFullError):
+                table.insert(x, *arg)
+        assert table.slots == reference and table.n == t - reference.count(None)
 
 
 def test_table_size_for():
