@@ -12,7 +12,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Callable, NamedTuple, Optional
@@ -220,6 +219,9 @@ def _run_grid(config: ExperimentConfig, threads: int, roles: int, trial: Callabl
             for cell in cells for i, stream in enumerate(cell.streams)]
     with ExitStack() as stack:
         if threads > 1 and jobs:
+            # imported here, so that `import linprobe` does not pay for it
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(threads, os.cpu_count() or 1, len(jobs))
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(trial, *zip(*jobs))

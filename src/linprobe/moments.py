@@ -4,7 +4,6 @@ forms, brute-force enumeration oracles, and tail-probability reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -102,8 +101,44 @@ def brute_force_moment(profile: BernoulliProfile, k: int) -> float:
     for _ in range(profile.n):
         devs.append(devs[-1] + 1)  # -mu + j in one add can round differently
     powers = np.array(devs) ** k
-    return math.fsum(itertools.chain.from_iterable(
-        (probs * powers[succ]).tolist() for probs, succ in _outcome_blocks(profile)))
+    return _fsum_blocks(probs * powers[succ] for probs, succ in _outcome_blocks(profile))
+
+
+def _fsum_blocks(blocks) -> float:
+    """math.fsum of the terms of an iterable of float64 arrays, each of at
+    most 2^26 terms, without a Python float per term: the same double
+    wherever math.fsum returns one.
+
+    Each finite term v is mant * 2^exp with 0.5 <= |mant| < 1, so
+    v * 2^1126 is an integer.  Per block, the high 27 and low 26 bits of
+    mant * 2^53 are summed by exponent with np.bincount; every bin's sum
+    stays below 2^53, so it is exact.  The nonzero bins fold into one
+    Python int, and int true division rounds correctly, as fsum does.
+    Once an inf or nan term appears, fsum returns the sum of those terms
+    alone (or raises ValueError on inf + -inf), so they go to fsum.
+    """
+    total, special = 0, []
+    for v in blocks:
+        finite = np.isfinite(v)
+        if not finite.all():
+            special += v[~finite].tolist()
+            continue
+        mant, exp = np.frexp(v)
+        x = np.ldexp(mant, 27)
+        high = np.trunc(x)  # |high| < 2^27
+        low = np.subtract(x, high, out=x)  # |low| < 1, a multiple of 2^-26
+        base = int(exp.min(initial=0))
+        index = np.subtract(exp, base, dtype=np.intp)
+        high_sums = np.bincount(index, high)
+        bins = np.bincount(index, low, minlength=high_sums.size + 26) * 2.0**26
+        bins[26:high_sums.size + 26] += high_sums  # bin j weighs 2^(j + base - 53)
+        nonzero = np.flatnonzero(bins)
+        sums = bins[nonzero].astype(np.int64).tolist()
+        block = sum(b << j for j, b in zip(nonzero.tolist(), sums))
+        total += block << (base + 1073)
+    if special:
+        return math.fsum(special)
+    return total / (1 << 1126)
 
 
 def fourth_moment_bound(mu: float) -> float:
@@ -169,8 +204,11 @@ def tail_check(
     """
     if not d > 0:
         raise ValueError("d must be positive")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    for name, value, least in (("k", k, 2), ("trials", trials, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value!r}")
     mu = profile.mu
     if mu < 1:
         raise ValueError("tail bounds require mu >= 1")

@@ -1,8 +1,12 @@
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -293,7 +297,7 @@ class TestWorkerPool:
     @pytest.fixture
     def made(self, monkeypatch):
         made = []
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda max_workers: RecordingPool(made, max_workers))
         return made
 
@@ -321,6 +325,15 @@ class TestWorkerPool:
         with pytest.raises(ValueError, match="threads"):
             run_experiment(self.config(), threads=threads)
         assert made == []
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # the pool module is imported only when a run asks for workers
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, linprobe; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path}).stdout
+        assert out == "False\n"
 
 
 class TestMaxRunFromCounts:

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from linprobe import moments
 from linprobe.hashing import derived_rng, new_polynomial
@@ -180,11 +180,59 @@ class TestBruteForce:
         assert traced_peak_mb(sum_distribution, profile) < 2
         assert traced_peak_mb(brute_force_moment, profile, 4) < 2
 
+    def test_non_finite_terms_keep_the_fsum_result(self):
+        # 1.5^2000 overflows to inf, and 0 * inf is nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert brute_force_moment(BernoulliProfile((0.5,) * 5), 2000) == math.inf
+            with pytest.raises(ValueError, match="-inf \\+ inf"):
+                brute_force_moment(BernoulliProfile((0.5,) * 5), 2001)
+            assert math.isnan(brute_force_moment(BernoulliProfile((0.0, 1.0, 0.5)), 2000))
+
     def test_distribution_sums_to_one(self):
         dist = sum_distribution(BernoulliProfile((0.2, 0.9, 0.4)))
         assert dist.sum() == pytest.approx(1.0)
         # Pr[X=0] = 0.8*0.1*0.6
         assert dist[0] == pytest.approx(0.8 * 0.1 * 0.6)
+
+
+class TestFsumBlocks:
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324])
+
+    @given(st.lists(st.lists(finite, max_size=40), max_size=4))
+    @example([[1.0, 2**-53]])  # a half-way tie, rounded to even
+    @example([[1.0, 2**-53], [2**-105]])  # just above the tie
+    @example([[1.0], [-1.0, 0.0]])  # cancels to 0
+    @example([[-0.0, -0.0]])
+    @example([[2**-1074, 2**-1022, -(2**-1023)]])  # subnormals
+    @example([[1e308, -1e308, 1e308, 1e-300]])
+    @settings(max_examples=500, deadline=None)
+    def test_equals_fsum(self, blocks):
+        arrays = [np.array(block, dtype=np.float64) for block in blocks]
+        terms = [v for block in blocks for v in block]
+        try:
+            expected = math.fsum(terms)
+        except OverflowError:  # a running sum beyond the float range
+            assume(False)
+        got = moments._fsum_blocks(arrays)
+        assert got == expected and math.copysign(1, got) == math.copysign(1, expected)
+
+    def test_exact_in_a_full_block(self):
+        # 2^14 near-full mantissas: half just below 2, half just above -2^-1022
+        rng = derived_rng(25, 0)
+        terms = np.concatenate([2 - rng.random(1 << 13) * 2**-30,
+                                -(2.0**-1022 - rng.random(1 << 13) * 2**-1060)])
+        assert moments._fsum_blocks([terms]) == math.fsum(terms.tolist())
+
+    def test_non_finite_terms_across_blocks(self):
+        def fsum(*blocks):
+            return moments._fsum_blocks([np.array(block) for block in blocks])
+
+        assert fsum([1.0, math.inf], [2.0, math.inf]) == math.inf
+        assert fsum([-math.inf, 1.0], [2.0]) == -math.inf
+        assert math.isnan(fsum([math.nan, 1.0], [math.inf]))
+        with pytest.raises(ValueError):
+            fsum([math.inf, 1.0], [-math.inf])
 
 
 class TestFourthMomentBound:
@@ -269,6 +317,28 @@ class TestTailCheck:
             tail_check(BernoulliProfile.uniform(64, 0.5), d=2.0, trials=trials, seed=1)
         with pytest.raises(ValueError):
             tail_check(BernoulliProfile.uniform(8, 0.5), d=2.0, trials=trials)
+
+    @pytest.mark.parametrize("k, error", [(1, ValueError), (0, ValueError), (True, TypeError),
+                                          (4.5, TypeError), (4.0, TypeError), ("4", TypeError)])
+    def test_rejects_bad_k_before_enumerating(self, monkeypatch, k, error):
+        monkeypatch.setattr(moments, "sum_distribution", None)  # any call would fail
+        with pytest.raises(error, match="^k "):
+            tail_check(BernoulliProfile.uniform(20, 0.5), d=2.0, k=k)
+        with pytest.raises(error, match="^k "):
+            tail_check(BernoulliProfile.uniform(64, 0.5), d=2.0, k=k, trials=100, seed=1)
+
+    @pytest.mark.parametrize("trials", [2.5, 100.0, True, None])
+    def test_rejects_non_integer_trials(self, monkeypatch, trials):
+        monkeypatch.setattr(moments, "derived_rng", None)  # any draw would fail
+        with pytest.raises(TypeError, match="^trials "):
+            tail_check(BernoulliProfile.uniform(64, 0.5), d=2.0, trials=trials, seed=1)
+        with pytest.raises(TypeError, match="^trials "):
+            tail_check(BernoulliProfile.uniform(8, 0.5), d=2.0, trials=trials)
+
+    def test_numpy_integer_k_and_trials(self):
+        profile = BernoulliProfile.uniform(64, 0.5)
+        assert (tail_check(profile, d=2.0, k=np.int64(6), trials=np.int32(500), seed=3)
+                == tail_check(profile, d=2.0, k=6, trials=500, seed=3))
 
     def test_sampling_in_chunks_keeps_the_random_stream(self):
         # past ENUM_LIMIT, with a trial count that crosses three chunk
