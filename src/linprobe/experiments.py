@@ -24,6 +24,7 @@ from .hashing import (
     TABULATION_CHAR_BITS,
     TABULATION_CHARS,
     TrulyRandomHash,
+    _integer,
     derived_rng,
     derived_seed,
     new_polynomial,
@@ -40,7 +41,7 @@ from .probing import (
 __all__ = ["EXPERIMENTS", "ExperimentConfig", "Row", "default_config", "make_family",
     "rows_to_csv", "rows_to_json", "run_experiment"]
 
-FAMILIES = ("poly2", "poly3", "poly5", "linear", "tabulation", "random")
+FAMILIES = ("poly2", "poly3", "poly5", "tabulation", "random")
 SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead of uniform
 
 MAX_TABLE = 1 << 24  # slots: the widest table a config may ask for (each trial allocates one)
@@ -61,8 +62,6 @@ def make_family(name: str, t: int, seed: int, stream: int):
     base = name.removesuffix("_seq")
     if base in ("poly2", "poly3", "poly5"):
         return new_polynomial(int(base[-1]), t, seed, stream=stream)
-    if base == "linear":  # x -> (a*x + b) mod p is the degree-1 polynomial: poly2
-        return new_polynomial(2, t, seed, stream=stream)
     if base == "tabulation":
         log_t = t.bit_length() - 1
         return new_tabulation(TABULATION_CHARS, TABULATION_CHAR_BITS, log_t, seed, stream=stream)
@@ -114,10 +113,7 @@ class ExperimentConfig:
         for name, least in _INT_FIELDS:
             value = getattr(self, name)
             for v in value if name in _LIST_FIELDS else (value,):
-                if isinstance(v, bool) or not isinstance(v, int):
-                    raise ValueError(f"{name} must be integers, got {value!r}")
-                if v < least:
-                    raise ValueError(f"{name} must be at least {least}, got {value!r}")
+                _integer(name, v, least)
         for n in self.n_values:
             if n > MAX_TABLE * self.load_target:
                 raise ValueError(f"n = {n} needs a table of more than {MAX_TABLE} slots")
@@ -393,6 +389,5 @@ def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[Row]:
     """The experiment's rows; `threads` worker processes at most (1 starts
     none), and the rows do not depend on it."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    _integer("threads", threads, 1)
     return EXPERIMENTS[config.experiment](config, threads)

@@ -18,8 +18,9 @@ from .hashing import (
     new_polynomial,
     new_tabulation,
     _all_distinct,
-    _is_pow2,
+    _integer,
     _mersenne_horner,
+    _power_of_two,
 )
 from .probing import ProbeTable, _scan_found
 
@@ -79,9 +80,8 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
     a uint64 key array -> (starts, signatures) uint64 arrays, equal key by key."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not _is_pow2(t):
-        raise ValueError(f"filter size {t} must be a nonzero power of two")
-    _check_width(t, b, mode)
+    t = _power_of_two("t", t)
+    b = _check_width(t, b, mode)
     log_t = t.bit_length() - 1
     sig_mask = (1 << b) - 1
     if mode in ("independent", "hash_of_signature"):
@@ -113,14 +113,16 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
     return place, place_array
 
 
-def _check_width(t: int, b: int, mode: str) -> None:
-    """Raise ValueError unless the mode's hashes fit their families: a b-bit
-    signature fits in 64 bits, and a paired mode's one log2(t) + b bit hash
-    fits p = 2^61 - 1 >= 24 * 2^(log2(t) + b) for `paired`, so 56 bits, and
-    64 bits for `tabulation_paired`."""
+def _check_width(t: int, b: int, mode: str) -> int:
+    """`b` as an int, if b >= 1 and the mode's hashes fit their families: a
+    b-bit signature fits in 64 bits, and a paired mode's one log2(t) + b bit
+    hash fits p = 2^61 - 1 >= 24 * 2^(log2(t) + b) for `paired`, so 56 bits,
+    and 64 bits for `tabulation_paired`.  Raises otherwise."""
+    b = _integer("b", b, 1)
     width = b + (t.bit_length() - 1 if mode in ("paired", "tabulation_paired") else 0)
     if width > (56 if mode == "paired" else 64):
         raise ValueError(f"a {width}-bit hash is too wide for the {mode} mode (t={t}, b={b})")
+    return b
 
 
 @dataclass(frozen=True)
@@ -170,11 +172,10 @@ def measure_fpr(
     A shadow table of the keys at the same starts counts, per query, the
     keys scanned to the first empty slot; their mean scales the FPR bound.
     """
-    if n >= t:
-        raise ValueError("filter must keep at least one empty slot")
-    if trials < 1:
-        raise ValueError("need at least one query")
+    n, trials = _integer("n", n, 0), _integer("trials", trials, 1)
     place_array = _placement(t, b, mode, seed, stream)[1]
+    if n >= t:
+        raise ValueError(f"n must be below t = {t}: one slot stays empty, got {n}")
     flt, shadow = ProbeTable(t, None), ProbeTable(t, None)
     rng = derived_rng(seed, stream + 1_000_003)
     drawn = sample_distinct_keys(rng, n + trials, MERSENNE61)

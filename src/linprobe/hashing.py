@@ -1,6 +1,6 @@
 """Hash function families: polynomial modulo the Mersenne prime
-p = 2^61 - 1 (the linear family x -> a*x + b is its degree-1 case),
-simple tabulation, and a memoized truly-random baseline.
+p = 2^61 - 1 (x -> a*x + b is its degree-1 case), simple tabulation, and a
+memoized truly-random baseline.
 
 All families are constructed from a (root_seed, stream) pair via
 `derived_rng`, so every drawn function is reproducible and independent
@@ -43,8 +43,22 @@ def derived_seed(root_seed: int, stream: int) -> int:
     return int(state[0])
 
 
-def _is_pow2(x: int) -> bool:
-    return x > 0 and (x & (x - 1)) == 0
+def _integer(name: str, value, least: int) -> int:
+    """`value` as an int: `TypeError` for a bool or a non-integer (numpy
+    integers pass), `ValueError` below `least`; messages start with `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _power_of_two(name: str, value) -> int:
+    """`value` by the rule of `_integer`, and a power of two."""
+    value = _integer(name, value, 1)
+    if value & (value - 1):
+        raise ValueError(f"{name} must be a power of two, got {value}")
+    return value
 
 
 _LOW32 = 0xFFFFFFFF
@@ -132,8 +146,7 @@ class PolynomialHash:
         object.__setattr__(self, "coefficients", coefficients)
         if len(coefficients) < 1:
             raise ValueError("need at least one coefficient")
-        if not _is_pow2(self.range_t):
-            raise ValueError(f"range {self.range_t} is not a power of two")
+        _power_of_two("range_t", self.range_t)
         if any(not 0 <= a < MERSENNE61 for a in coefficients):
             raise ValueError("coefficients must be residues in [0, p)")
 
@@ -159,10 +172,9 @@ def new_polynomial(k: int, t: int, seed: int, *, stream: int = 0) -> PolynomialH
     Requires p >= 24*t so that the constant-time guarantees downstream
     apply, so t is at most 2^56.
     """
-    if k < 1:
-        raise ValueError("independence degree k must be >= 1")
+    k, t = _integer("k", k, 1), _power_of_two("t", t)
     if MERSENNE61 < 24 * t:
-        raise ValueError(f"modulus {MERSENNE61} < 24*t = {24 * t}")
+        raise ValueError(f"t must satisfy 24 * t <= p = {MERSENNE61}, got {t}")
     rng = derived_rng(seed, stream)
     return PolynomialHash(rng.integers(0, MERSENNE61, size=k, dtype=np.uint64), t)
 
@@ -234,9 +246,10 @@ def new_tabulation(
     c: int, char_bits: int, output_bits: int, seed: int, *, stream: int = 0
 ) -> TabulationHash:
     """Fill c lookup tables with uniform output_bits-bit words."""
+    c, char_bits = _integer("c", c, 1), _integer("char_bits", char_bits, 1)
     if c * char_bits > 64:
         raise ValueError("key width exceeds 64 bits")
-    if output_bits > 64:
+    if _integer("output_bits", output_bits, 0) > 64:
         raise ValueError("output width exceeds 64 bits")
     rng = derived_rng(seed, stream)
     size = 1 << char_bits
@@ -256,9 +269,7 @@ class TrulyRandomHash:
     """
 
     def __init__(self, t: int, seed: int, *, stream: int = 0):
-        if not _is_pow2(t):
-            raise ValueError(f"range {t} must be a nonzero power of two")
-        self.range_t = t
+        self.range_t = _power_of_two("t", t)
         self._rng = derived_rng(seed, stream)
         self._memo: dict[int, int] = {}
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
@@ -308,16 +319,15 @@ def verify_independence_exact(p: int, k: int, tuple_size: int):
     otherwise (False, counterexample) where the counterexample records
     (keys, values, count, expected).
     """
-    if k < 1:
-        raise ValueError("independence degree k must be >= 1")
+    p, k = _integer("p", p, 0), _integer("k", k, 1)
     if p**k > ENUMERATION_BUDGET:
         raise ValueError(f"p^k = {p ** k} exceeds enumeration budget")
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise ValueError(f"{p} is not prime")
     # tuple_size may exceed k: the check then (correctly) fails, e.g. a
     # constant family is not 2-independent.
-    if tuple_size < 1 or tuple_size > p:
-        raise ValueError("tuple size must be in [1, p]")
+    if _integer("tuple_size", tuple_size, 1) > p:
+        raise ValueError(f"tuple_size must be at most p = {p}, got {tuple_size}")
 
     tables = []
     for coeffs in itertools.product(range(p), repeat=k):

@@ -5,13 +5,14 @@ forms, brute-force enumeration oracles, and tail-probability reports.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .hashing import derived_rng
+from .hashing import _integer, derived_rng
 
 __all__ = ["BernoulliProfile", "TailReport", "brute_force_moment", "exact_fourth_moment",
     "fourth_moment_bound", "fourth_moment_bound_sharp", "kth_moment_bound_check",
@@ -95,8 +96,7 @@ def brute_force_moment(profile: BernoulliProfile, k: int) -> float:
     """E[(X - mu)^k] by full 2^n outcome enumeration (n <= ENUM_LIMIT);
     the independent oracle for the closed forms and bounds.  Each of the
     n + 1 deviation powers is taken once and spread over its outcomes."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError("k must be a non-negative integer")
+    k = _integer("k", k, 0)
     devs = [-profile.mu]
     for _ in range(profile.n):
         devs.append(devs[-1] + 1)  # -mu + j in one add can round differently
@@ -143,23 +143,22 @@ def _fsum_blocks(blocks) -> float:
 
 def fourth_moment_bound(mu: float) -> float:
     """The bound 4 * mu^2 on E[(X - mu)^4]; valid for mu >= 1."""
-    if mu < 1:
-        raise ValueError("bound requires mu >= 1")
+    if not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
+        raise ValueError(f"mu must be a number of at least 1, got {mu!r}")
     return 4.0 * mu * mu
 
 
 def fourth_moment_bound_sharp(mu: float) -> float:
     """The sharper intermediate bound mu + 3 * mu^2."""
-    if mu < 1:
-        raise ValueError("bound requires mu >= 1")
+    if not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
+        raise ValueError(f"mu must be a number of at least 1, got {mu!r}")
     return mu + 3.0 * mu * mu
 
 
 def kth_moment_bound_terms(variance: float, k: int) -> float:
     """sum_{c=1}^{floor(k/2)} c^k / c! * variance^c: the fully constructive
     bound on E[(X - mu)^k] under k-wise independence."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _integer("k", k, 2)
     return math.fsum(
         c**k / math.factorial(c) * variance**c for c in range(1, k // 2 + 1)
     )
@@ -168,8 +167,8 @@ def kth_moment_bound_terms(variance: float, k: int) -> float:
 def kth_moment_bound_check(profile: BernoulliProfile, k: int):
     """Compare the enumerated k-th central moment against the constructive
     bound.  Returns (exact, bound, ok)."""
+    bound = kth_moment_bound_terms(profile.variance, k)  # refuses a bad k before enumerating
     exact = brute_force_moment(profile, k)
-    bound = kth_moment_bound_terms(profile.variance, k)
     return exact, bound, exact <= bound + 1e-12 * max(1.0, bound)
 
 
@@ -202,13 +201,9 @@ def tail_check(
     Exact by enumeration when n <= ENUM_LIMIT, otherwise Monte Carlo with
     `trials` samples from the given seed.
     """
-    if not d > 0:
-        raise ValueError("d must be positive")
-    for name, value, least in (("k", k, 2), ("trials", trials, 1)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0 < d < math.inf:
+        raise ValueError(f"d must be a finite positive number, got {d!r}")
+    k, trials = _integer("k", k, 2), _integer("trials", trials, 1)
     mu = profile.mu
     if mu < 1:
         raise ValueError("tail bounds require mu >= 1")

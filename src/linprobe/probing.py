@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hashing import _is_pow2
+from .hashing import _power_of_two
 
 __all__ = ["ProbeTable", "Run", "TableFullError", "check_query_run_lemma", "check_run_lemma",
     "hash_counts", "interval_counts", "max_run_from_counts", "near_full_threshold", "occupancy",
@@ -77,11 +77,9 @@ class ProbeTable:
     """
 
     def __init__(self, t: int, hash_fn):
-        if not _is_pow2(t):
-            raise ValueError(f"table size {t} must be a nonzero power of two")
+        self.t = t = _power_of_two("t", t)
         if getattr(hash_fn, "range_t", t) != t:
             raise ValueError(f"hash range {hash_fn.range_t} does not match table size {t}")
-        self.t = t
         self.hash_fn = hash_fn
         self.slots: list[Optional[int]] = [None] * t
         self.n = 0

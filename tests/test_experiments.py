@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import types
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,7 @@ from linprobe.experiments import (
     rows_to_json,
     run_experiment,
 )
-from linprobe.hashing import MERSENNE61, PolynomialHash, TrulyRandomHash, derived_rng
+from linprobe.hashing import TrulyRandomHash, derived_rng
 from linprobe.probing import ProbeTable, occupancy, runs, table_size_for
 
 import numpy as np
@@ -558,27 +557,17 @@ def test_package_exports():
 
 
 def test_make_family_names():
-    for name in ("poly2", "poly3", "poly5", "linear", "tabulation", "random"):
+    for name in FAMILIES + SEQ_FAMILIES:
         h = make_family(name, 64, seed=1, stream=0)
         assert all(0 <= h(x) < 64 for x in range(100))
     with pytest.raises(ValueError):
         make_family("md5", 64, seed=1, stream=0)
 
 
-def test_linear_family_is_poly2():
-    # x -> (a*x + b) mod p is the degree-1 polynomial: the same draw, the same
-    # values scalar and batch, and the same rows but for the family's name
-    keys = np.concatenate([np.arange(64, dtype=np.uint64),
-                           derived_rng(3, 0).integers(0, MERSENNE61, 500, dtype=np.uint64)])
-    for stream in range(8):
-        lin, poly = make_family("linear", 2**10, 5, stream), make_family("poly2", 2**10, 5, stream)
-        assert type(lin) is PolynomialHash and lin == poly
-        assert lin.hash_array(keys).tolist() == poly.hash_array(keys).tolist() \
-            == [lin(k) for k in keys.tolist()] == [poly(k) for k in keys.tolist()]
-    rows = {name: run_experiment(tiny_config("probe_cost", families=(name, f"{name}_seq"),
-                                             n_values=(64, 256), table_trials=2,
-                                             query_trials=200))
-            for name in ("linear", "poly2")}
-    assert len(rows["linear"]) == 16
-    assert [replace(r, family=r.family.replace("linear", "poly2")) for r in rows["linear"]] \
-        == rows["poly2"]
+@pytest.mark.parametrize("name", ["linear", "linear_seq"])
+def test_linear_family_names_refused(name):
+    # x -> (a*x + b) mod p is the degree-1 polynomial: the family is poly2
+    with pytest.raises(ValueError, match=f"unknown hash family '{name}'"):
+        make_family(name, 64, seed=1, stream=0)
+    with pytest.raises(ValueError, match=f"unknown hash family '{name}'"):
+        ExperimentConfig(experiment="probe_cost", families=(name,))

@@ -15,7 +15,6 @@ from linprobe.hashing import (
     verify_independence_exact,
     _key_array,
 )
-from linprobe.experiments import make_family
 from linprobe.filters import MODES, SignatureFilter, _placement, sample_distinct_keys
 from linprobe.probing import ProbeTable
 
@@ -313,7 +312,7 @@ def all_families(t, seed):
         new_polynomial(2, t, seed, stream=1),
         new_polynomial(3, t, seed, stream=2),
         new_polynomial(5, t, seed, stream=3),
-        make_family("linear", t, seed, stream=4),
+        new_polynomial(2, t, seed, stream=4),
         PolynomialHash((P - 1,) * 5, t),  # largest residues
         PolynomialHash((0, 1), t),  # x mod p: key p must give 0
         new_tabulation(4, 16, t.bit_length() - 1, seed, stream=5),
@@ -542,8 +541,8 @@ def test_scalar_hash_takes_numpy_integers(family):
     # a numpy key is evaluated as the Python int it stands for, not in
     # wrapping 64-bit arithmetic, and lands in the same table slot
     t = 2**13
-    if family == "linear":
-        h = make_family("linear", t, 8, 0)
+    if family == "linear":  # the largest slope and offset
+        h = linear(a=P - 1, b=P - 2, range_t=t)
     elif family == "tabulation":
         h = new_tabulation(4, 16, 13, 8)
     elif family == "random":
