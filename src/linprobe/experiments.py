@@ -20,15 +20,12 @@ import numpy as np
 
 from .filters import MODES, _check_width, measure_fpr, sample_distinct_keys
 from .hashing import (
+    FAMILIES,
     MERSENNE61,
-    TABULATION_CHAR_BITS,
-    TABULATION_CHARS,
-    TrulyRandomHash,
     _integer,
     derived_rng,
     derived_seed,
-    new_polynomial,
-    new_tabulation,
+    make_family,
 )
 from .probing import (
     ProbeTable,
@@ -38,10 +35,9 @@ from .probing import (
     table_size_for,
 )
 
-__all__ = ["EXPERIMENTS", "ExperimentConfig", "Row", "default_config", "make_family",
-    "rows_to_csv", "rows_to_json", "run_experiment"]
+__all__ = ["EXPERIMENTS", "ExperimentConfig", "Row", "default_config", "rows_to_csv",
+    "rows_to_json", "run_experiment"]
 
-FAMILIES = ("poly2", "poly3", "poly5", "tabulation", "random")
 SEQ_FAMILIES = tuple(f"{name}_seq" for name in FAMILIES)  # keys 0..n-1 instead of uniform
 
 MAX_TABLE = 1 << 24  # slots: the widest table a config may ask for (each trial allocates one)
@@ -55,19 +51,6 @@ _INT_FIELDS = (("n_values", 1), ("b_values", 1), ("levels", 0), ("table_trials",
 
 MAX_RUN_SLACK = 16  # test constant for the max-run O(log n) claim
 THREE_INDEP_SLACK = 8  # test constant for the 3-independent O(log n) claim
-
-
-def make_family(name: str, t: int, seed: int, stream: int):
-    """Draw a hash function with range [t] from the named family."""
-    base = name.removesuffix("_seq")
-    if base in ("poly2", "poly3", "poly5"):
-        return new_polynomial(int(base[-1]), t, seed, stream=stream)
-    if base == "tabulation":
-        log_t = t.bit_length() - 1
-        return new_tabulation(TABULATION_CHARS, TABULATION_CHAR_BITS, log_t, seed, stream=stream)
-    if base == "random":
-        return TrulyRandomHash(t, seed, stream=stream)
-    raise ValueError(f"unknown hash family {name!r}")
 
 
 def trial_keys(name: str, n: int, seed: int, stream: int) -> np.ndarray:

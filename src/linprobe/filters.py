@@ -12,14 +12,10 @@ import numpy as np
 
 from .hashing import (
     MERSENNE61,
-    TABULATION_CHAR_BITS,
-    TABULATION_CHARS,
     derived_rng,
-    new_polynomial,
-    new_tabulation,
+    make_family,
     _all_distinct,
     _integer,
-    _mersenne_horner,
     _power_of_two,
 )
 from .probing import ProbeTable, _scan_found
@@ -82,45 +78,39 @@ def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Calla
         raise ValueError(f"unknown mode {mode!r}")
     t = _power_of_two("t", t)
     b = _check_width(t, b, mode)
-    log_t = t.bit_length() - 1
-    sig_mask = (1 << b) - 1
     if mode in ("independent", "hash_of_signature"):
-        h = new_polynomial(5, t, seed, stream=2 * stream)
-        universal = new_polynomial(2, 2, seed, stream=2 * stream + 1)  # s: its low b bits
+        h = make_family("poly5", t, seed, 2 * stream)
+        s = make_family("poly2", 1 << b, seed, 2 * stream + 1)
         of_sig = mode == "hash_of_signature"
 
         def place(x: int) -> tuple[int, int]:
-            sig = universal.eval_mod_p(x) & sig_mask
+            sig = s(x)
             return h(sig if of_sig else x), sig
 
         def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            sigs = _mersenne_horner(universal.coefficients, keys) & sig_mask
+            sigs = s.hash_array(keys)
             return h.hash_array(sigs if of_sig else keys), sigs
     else:
-        if mode == "paired":
-            wide = new_polynomial(5, t << b, seed, stream=stream)
-        else:  # tabulation_paired
-            wide = new_tabulation(TABULATION_CHARS, TABULATION_CHAR_BITS, log_t + b, seed,
-                                  stream=stream)
+        wide = make_family("poly5" if mode == "paired" else "tabulation", t << b, seed, stream)
 
         def place(x: int) -> tuple[int, int]:
             return divmod(wide(x), 1 << b)
 
         def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             value = wide.hash_array(keys)
-            return value >> b, value & sig_mask
+            return value >> b, value & ((1 << b) - 1)
 
     return place, place_array
 
 
 def _check_width(t: int, b: int, mode: str) -> int:
     """`b` as an int, if b >= 1 and the mode's hashes fit their families: a
-    b-bit signature fits in 64 bits, and a paired mode's one log2(t) + b bit
-    hash fits p = 2^61 - 1 >= 24 * 2^(log2(t) + b) for `paired`, so 56 bits,
-    and 64 bits for `tabulation_paired`.  Raises otherwise."""
+    polynomial's range is at most 2^56 (24 * 2^56 <= p = 2^61 - 1) and a
+    tabulation output at most 64 bits, where the paired modes draw one
+    log2(t) + b bit hash and the others a b-bit signature.  Raises otherwise."""
     b = _integer("b", b, 1)
     width = b + (t.bit_length() - 1 if mode in ("paired", "tabulation_paired") else 0)
-    if width > (56 if mode == "paired" else 64):
+    if width > (64 if mode == "tabulation_paired" else 56):
         raise ValueError(f"a {width}-bit hash is too wide for the {mode} mode (t={t}, b={b})")
     return b
 

@@ -20,12 +20,11 @@ from functools import cached_property
 import numpy as np
 
 __all__ = ["MERSENNE61", "PolynomialHash", "TabulationHash", "TrulyRandomHash", "derived_rng",
-    "derived_seed", "new_polynomial", "new_tabulation", "verify_independence_exact"]
+    "derived_seed", "make_family", "new_polynomial", "new_tabulation", "verify_independence_exact"]
 
 # The one modulus of polynomial hashing: the Mersenne prime 2^61 - 1.
 MERSENNE61 = (1 << 61) - 1
-# The tabulation shape of the experiments and filters: a 64-bit key as 4 16-bit characters.
-TABULATION_CHARS, TABULATION_CHAR_BITS = 4, 16
+FAMILIES = ("poly2", "poly3", "poly5", "tabulation", "random")  # the names make_family draws
 
 
 def derived_rng(root_seed: int, stream: int) -> np.random.Generator:
@@ -187,33 +186,33 @@ LinearHash = PolynomialHash
 
 @dataclass(frozen=True, eq=False)
 class TabulationHash:
-    """Simple tabulation: a key is split into c characters (least-significant
-    character first) and hashed to the XOR of per-character table lookups."""
+    """Simple tabulation: a key is split into c characters of char_bits bits
+    (least-significant character first), c and 2^char_bits being the shape of
+    `tables`, and hashed to the XOR of per-character table lookups."""
 
-    char_count: int
-    char_bits: int
-    output_bits: int
-    # read-only (char_count, 2^char_bits) uint64 array, one row per character
+    # read-only (c, 2^char_bits) uint64 array, one row per character
     tables: np.ndarray = field(repr=False)
+    output_bits: int
 
     def __post_init__(self):
-        if self.char_count * self.char_bits > 64:
-            raise ValueError("key width exceeds 64 bits")
-        if self.output_bits > 64:
+        if _integer("output_bits", self.output_bits, 0) > 64:
             raise ValueError("output width exceeds 64 bits")
         try:
             tables = np.array(self.tables, dtype=np.uint64)
         except OverflowError:  # an entry below 0 or at least 2^64
             raise ValueError("table entry out of output range") from None
-        if tables.shape != (self.char_count, 1 << self.char_bits):
-            raise ValueError("need one table of 2^char_bits entries per character")
-        if int(tables.max(initial=0)) >> self.output_bits:
+        c, size = tables.shape if tables.ndim == 2 else (0, 0)
+        char_bits = size.bit_length() - 1
+        if c < 1 or size < 2 or size != 1 << char_bits or c * char_bits > 64:
+            raise ValueError("tables must be c >= 1 rows of 2^char_bits >= 2 entries, with "
+                             f"c * char_bits <= 64 key bits, got shape {tables.shape}")
+        if int(tables.max()) >> self.output_bits:
             raise ValueError("table entry out of output range")
         tables.flags.writeable = False
         object.__setattr__(self, "tables", tables)
+        object.__setattr__(self, "_char_bits", char_bits)
         # keys lie in [0, p) and in the characters' bits: a wider key would alias
-        key_bits = self.char_count * self.char_bits
-        object.__setattr__(self, "_key_bound", min(MERSENNE61, 1 << key_bits))
+        object.__setattr__(self, "_key_bound", min(MERSENNE61, 1 << c * char_bits))
 
     @cached_property
     def _rows(self) -> list[list[int]]:
@@ -225,28 +224,30 @@ class TabulationHash:
         return 1 << self.output_bits
 
     def __call__(self, x: int) -> int:
-        x, mask = _key(x, self._key_bound), (1 << self.char_bits) - 1
+        x, mask = _key(x, self._key_bound), (1 << self._char_bits) - 1
         out = 0
         for row in self._rows:
             out ^= row[x & mask]
-            x >>= self.char_bits
+            x >>= self._char_bits
         return out
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every key, as a uint64 array."""
         x = _key_array(keys, self._key_bound)
-        mask = (1 << self.char_bits) - 1
+        mask = (1 << self._char_bits) - 1
         out = np.zeros(x.shape, dtype=np.uint64)
         for j, row in enumerate(self.tables):
-            out ^= row[(x >> (j * self.char_bits)) & mask]
+            out ^= row[(x >> (j * self._char_bits)) & mask]
         return out
 
 
 def new_tabulation(
     c: int, char_bits: int, output_bits: int, seed: int, *, stream: int = 0
 ) -> TabulationHash:
-    """Fill c lookup tables with uniform output_bits-bit words."""
+    """Fill c lookup tables of 2^char_bits uniform output_bits-bit words."""
     c, char_bits = _integer("c", c, 1), _integer("char_bits", char_bits, 1)
+    if char_bits > 20:  # 2^20 entries, 8 MiB per table
+        raise ValueError(f"char_bits must be at most 20, got {char_bits}")
     if c * char_bits > 64:
         raise ValueError("key width exceeds 64 bits")
     if _integer("output_bits", output_bits, 0) > 64:
@@ -255,8 +256,7 @@ def new_tabulation(
     size = 1 << char_bits
     tables = np.stack([rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
                        for _ in range(c)])
-    return TabulationHash(char_count=c, char_bits=char_bits, output_bits=output_bits,
-                          tables=tables)
+    return TabulationHash(tables, output_bits)
 
 
 class TrulyRandomHash:
@@ -302,6 +302,19 @@ class TrulyRandomHash:
                 return values.reshape(x.shape)
         return np.fromiter(map(self, flat.tolist()), dtype=np.uint64,
                            count=flat.size).reshape(x.shape)
+
+
+def make_family(name: str, t: int, seed: int, stream: int):
+    """Draw a hash with range [t] from the family `name` of `FAMILIES` (or its
+    `_seq` variant); tabulation reads a key as 4 16-bit characters."""
+    base, t = name.removesuffix("_seq"), _power_of_two("t", t)
+    if base in ("poly2", "poly3", "poly5"):
+        return new_polynomial(int(base[-1]), t, seed, stream=stream)
+    if base == "tabulation":
+        return new_tabulation(4, 16, t.bit_length() - 1, seed, stream=stream)
+    if base == "random":
+        return TrulyRandomHash(t, seed, stream=stream)
+    raise ValueError(f"unknown hash family {name!r}")
 
 
 ENUMERATION_BUDGET = 10**6

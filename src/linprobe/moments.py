@@ -47,7 +47,7 @@ class BernoulliProfile:
 
     @classmethod
     def uniform(cls, n: int, p: float) -> "BernoulliProfile":
-        return cls((p,) * n)
+        return cls((p,) * _integer("n", n, 0))
 
 
 def exact_fourth_moment(profile: BernoulliProfile) -> float:
@@ -143,14 +143,14 @@ def _fsum_blocks(blocks) -> float:
 
 def fourth_moment_bound(mu: float) -> float:
     """The bound 4 * mu^2 on E[(X - mu)^4]; valid for mu >= 1."""
-    if not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
         raise ValueError(f"mu must be a number of at least 1, got {mu!r}")
     return 4.0 * mu * mu
 
 
 def fourth_moment_bound_sharp(mu: float) -> float:
     """The sharper intermediate bound mu + 3 * mu^2."""
-    if not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
+    if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
         raise ValueError(f"mu must be a number of at least 1, got {mu!r}")
     return mu + 3.0 * mu * mu
 

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hashing import _power_of_two
+from .hashing import _integer, _power_of_two
 
 __all__ = ["ProbeTable", "Run", "TableFullError", "check_query_run_lemma", "check_run_lemma",
     "hash_counts", "interval_counts", "max_run_from_counts", "near_full_threshold", "occupancy",
@@ -301,7 +302,10 @@ def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
 
 
 def table_size_for(n: int, max_load: float = 2 / 3) -> int:
-    """Smallest power of two t with n/t <= max_load."""
+    """Smallest power of two t with n/t <= max_load, for a max_load in (0, 1)."""
+    n = _integer("n", n, 0)
+    if isinstance(max_load, bool) or not isinstance(max_load, numbers.Real) or not 0 < max_load < 1:
+        raise ValueError(f"max_load must be a number in (0, 1), got {max_load!r}")
     if n < 1:
         return 2
     t = 1 << math.ceil(math.log2(n / max_load))

@@ -1,10 +1,10 @@
 """One argument rule for every public size, count, degree and width: a bool
 or a non-integer raises TypeError, a value below the argument's least value
-(or a non-power of two where one is needed) raises ValueError, and each
-message starts with the argument's name.  The real-valued bounds `d` and
-`mu` raise ValueError for anything but a number in range, nan included.  A
-refused call draws and enumerates nothing first; numpy integers are
-accepted."""
+(or above its most, or a non-power of two where one is needed) raises
+ValueError, and each message starts with the argument's name.  The
+real-valued bounds `d`, `mu` and `max_load` raise ValueError for anything
+but a number in range, nan included.  A refused call draws and enumerates
+nothing first; numpy integers are accepted."""
 
 import math
 
@@ -16,7 +16,9 @@ from linprobe.experiments import ExperimentConfig, run_experiment
 from linprobe.filters import make_filter, measure_fpr
 from linprobe.hashing import (
     PolynomialHash,
+    TabulationHash,
     TrulyRandomHash,
+    make_family,
     new_polynomial,
     new_tabulation,
     verify_independence_exact,
@@ -30,14 +32,14 @@ from linprobe.moments import (
     kth_moment_bound_terms,
     tail_check,
 )
-from linprobe.probing import ProbeTable
+from linprobe.probing import ProbeTable, table_size_for
 
 SMALL, LARGE = BernoulliProfile.uniform(20, 0.5), BernoulliProfile.uniform(64, 0.5)
 BAD = (True, 2.5, "4", None, math.nan, math.inf, -1)
 POW2 = "power of two"  # the least value of a power-of-two argument is 1; 3 is no power
 
-# (argument name, least value, call with the argument set to v); every other
-# argument is valid
+# (argument name, least value or range of values, call with the argument set
+# to v); every other argument is valid
 CASES = {
     "ProbeTable": ("t", POW2, lambda v: ProbeTable(v, None)),
     "PolynomialHash": ("range_t", POW2, lambda v: PolynomialHash((1, 2), v)),
@@ -45,8 +47,11 @@ CASES = {
     "new_polynomial.k": ("k", 1, lambda v: new_polynomial(v, 8, 0)),
     "new_polynomial.t": ("t", POW2, lambda v: new_polynomial(2, v, 0)),
     "new_tabulation.c": ("c", 1, lambda v: new_tabulation(v, 8, 8, 0)),
-    "new_tabulation.char_bits": ("char_bits", 1, lambda v: new_tabulation(2, v, 8, 0)),
+    "new_tabulation.char_bits": ("char_bits", range(1, 21), lambda v: new_tabulation(2, v, 8, 0)),
     "new_tabulation.output_bits": ("output_bits", 0, lambda v: new_tabulation(2, 8, v, 0)),
+    "TabulationHash": ("output_bits", 0,
+                       lambda v: TabulationHash(np.zeros((2, 16), dtype=np.uint64), v)),
+    "make_family.t": ("t", POW2, lambda v: make_family("tabulation", v, 0, 0)),
     "verify_independence_exact.p": ("p", 0, lambda v: verify_independence_exact(v, 1, 1)),
     "verify_independence_exact.k": ("k", 1, lambda v: verify_independence_exact(3, v, 1)),
     "verify_independence_exact.tuple_size":
@@ -57,6 +62,8 @@ CASES = {
     "measure_fpr.b": ("b", 1, lambda v: measure_fpr(64, v, "independent", 10, 5, 0)),
     "measure_fpr.n": ("n", 0, lambda v: measure_fpr(64, 4, "paired", v, 5, 0)),
     "measure_fpr.trials": ("trials", 1, lambda v: measure_fpr(64, 4, "paired", 10, v, 0)),
+    "BernoulliProfile.uniform": ("n", 0, lambda v: BernoulliProfile.uniform(v, 0.5)),
+    "table_size_for": ("n", 0, lambda v: table_size_for(v)),
     "brute_force_moment": ("k", 0, lambda v: brute_force_moment(SMALL, v)),
     "kth_moment_bound_terms": ("k", 2, lambda v: kth_moment_bound_terms(1.0, v)),
     "kth_moment_bound_check": ("k", 2, lambda v: kth_moment_bound_check(SMALL, v)),
@@ -74,6 +81,8 @@ CASES = {
 def bad_values(least):
     if least == POW2:
         return [*BAD, 0, 3]
+    if isinstance(least, range):
+        return [*bad_values(least.start), least.stop]
     return [*BAD, least - 1] if least > 0 else list(BAD)  # BAD holds -1
 
 
@@ -97,14 +106,19 @@ def test_refused_by_name_before_any_work(nothing_drawn, case, value):
         call(value)
 
 
+def max_load(v):
+    return table_size_for(4, v)
+
+
 @pytest.mark.parametrize("call,value", [
     *((lambda v: tail_check(SMALL, v), v) for v in (True, "4", None, math.nan, math.inf, -1, 0)),
     *((lambda v: tail_check(LARGE, v, trials=9, seed=1), v) for v in (True, "4", math.inf, 0)),
     *((bound, v) for bound in (fourth_moment_bound, fourth_moment_bound_sharp)
-      for v in ("4", None, math.nan, -1, 0.5)),
+      for v in ("4", None, math.nan, -1, 0.5, True)),
+    *((max_load, v) for v in (True, "4", None, math.nan, math.inf, -1, 0, 1, 1.0)),
 ])
 def test_real_bound_refused_by_name(nothing_drawn, call, value):
-    with pytest.raises(ValueError, match="^(d|mu) "):
+    with pytest.raises(ValueError, match="^(d|mu|max_load) "):
         call(value)
 
 
@@ -116,6 +130,9 @@ def test_numpy_integers_accepted():
     assert np.array_equal(new_tabulation(i(2), i(4), i(8), 0).tables,
                           new_tabulation(2, 4, 8, 0).tables)
     assert verify_independence_exact(i(3), i(2), i(2)) == verify_independence_exact(3, 2, 2)
+    assert make_family("tabulation", i(8), 0, 0).range_t == 8
+    assert TabulationHash(np.zeros((2, 16), dtype=np.uint64), i(8)).range_t == 256
+    assert BernoulliProfile.uniform(i(3), 0.5).n == 3 and table_size_for(i(10)) == 16
     assert (measure_fpr(i(64), i(4), "paired", i(10), i(5), 0)
             == measure_fpr(64, 4, "paired", 10, 5, 0))
     assert kth_moment_bound_check(SMALL, i(4)) == kth_moment_bound_check(SMALL, 4)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linprobe import filters, hashing
+from linprobe.experiments import ExperimentConfig
 from linprobe.filters import (
     MODES,
     SignatureFilter,
@@ -131,6 +132,19 @@ class TestModes:
         make_filter(1 << 6, 58, "tabulation_paired", seed=0)  # 6 + 58 = 64 bits fits
         with pytest.raises(ValueError, match="too wide for the tabulation_paired"):
             make_filter(1 << 6, 59, "tabulation_paired", seed=0)
+
+    @pytest.mark.parametrize("mode,widest", [("independent", 56), ("hash_of_signature", 56),
+                                             ("paired", 50), ("tabulation_paired", 58)])
+    def test_widest_signature(self, mode, widest):
+        # at t = 64 a polynomial range is at most 2^56 and a tabulation output 64 bits:
+        # a b-bit signature for the unpaired modes, a (6 + b)-bit hash for the paired
+        make_filter(1 << 6, widest, mode, seed=0)
+        ExperimentConfig("filter_fpr", modes=(mode,), n_values=(40,), b_values=(widest,))
+        with pytest.raises(ValueError, match=f"too wide for the {mode}"):
+            make_filter(1 << 6, widest + 1, mode, seed=0)
+        with pytest.raises(ValueError, match=f"too wide for the {mode}"):
+            ExperimentConfig("filter_fpr", modes=(mode,), n_values=(40,),
+                             b_values=(widest + 1,))
 
     def test_paired_splits_one_output(self):
         f = make_filter(1 << 6, 4, "paired", seed=23)
@@ -277,7 +291,7 @@ def test_measure_fpr_scan_keys_match_carry_model(mode, t, n, b):
 
 class TestMeasureFpr:
     def test_wide_signature_no_false_positives(self):
-        rep = measure_fpr(1 << 11, 64, "independent", n=1 << 10, trials=10**4, seed=31)
+        rep = measure_fpr(1 << 11, 56, "independent", n=1 << 10, trials=10**4, seed=31)
         assert rep.fpr == 0.0
 
     def test_independent_bound_with_slack(self):
@@ -328,7 +342,6 @@ class TestMeasureFpr:
             return original(self, x)
 
         monkeypatch.setattr(hashing, "_mersenne_horner", counted_horner)
-        monkeypatch.setattr(filters, "_mersenne_horner", counted_horner)
         monkeypatch.setattr(TabulationHash, "hash_array", counted_tab_array)
         monkeypatch.setattr(owner, attr, counted_scalar)
         rep = measure_fpr(1 << 9, 8, mode, n=256, trials=1000, seed=36)

@@ -149,9 +149,7 @@ class TestTabulation:
             assert h(x) == h.tables[0][x]
 
     def test_zero_tables_hash_to_zero(self):
-        h = TabulationHash(
-            char_count=2, char_bits=4, output_bits=8, tables=((0,) * 16, (0,) * 16)
-        )
+        h = TabulationHash(((0,) * 16, (0,) * 16), 8)
         assert all(h(x) == 0 for x in range(256))
 
     def test_two_character_recomputation(self):
@@ -180,6 +178,13 @@ class TestTabulation:
                 h(bad)
             with pytest.raises(ValueError):
                 h.hash_array(np.array([0, bad], dtype=np.uint64))
+
+    @pytest.mark.parametrize("shape", [(16,), (0, 16), (2, 3), (5, 1 << 16)],
+                             ids=["one-dimensional", "no rows", "row of 3", "80 key bits"])
+    def test_table_shape_refused(self, shape):
+        # c and char_bits are the shape: c rows of 2^char_bits entries, c * char_bits <= 64
+        with pytest.raises(ValueError, match=r"^tables must be .* got shape \("):
+            TabulationHash(np.zeros(shape, dtype=np.uint64), 8)
 
     def test_rejects_overflowing_widths(self):
         with pytest.raises(ValueError):
@@ -358,8 +363,7 @@ class TestHashArray:
     @pytest.mark.parametrize("entry", [-1, 256, 2**64])
     def test_tabulation_entry_out_of_range(self, entry):
         with pytest.raises(ValueError):
-            TabulationHash(char_count=1, char_bits=2, output_bits=8,
-                           tables=((0, 1, 2, entry),))
+            TabulationHash(((0, 1, 2, entry),), 8)
 
 
 def keys_with_repeats(seed, size, distinct):
