@@ -222,19 +222,20 @@ def _row(config: ExperimentConfig, cell: Cell, metric: str, value,
 def _probe_cost_trial(family: str, n: int, t: int, seed: int, stream: int, queries: int):
     h = make_family(family, t, seed, stream)
     key_array = trial_keys(family, n, seed, stream + 1)
-    keys = key_array.tolist()
-    stored = set(keys)
+    stored = np.sort(key_array)  # n >= 1
     rng = derived_rng(seed, stream + 2)
-    absent = []
+    absent = np.empty(0, dtype=np.uint64)
     while len(absent) < queries:
         drawn = rng.integers(0, MERSENNE61, size=queries - len(absent), dtype=np.uint64)
-        absent += [q for q in drawn.tolist() if q not in stored]
+        at = np.minimum(np.searchsorted(stored, drawn), n - 1)
+        absent = np.concatenate([absent, drawn[stored[at] != drawn]])
     # keys, then queries, in one batch: the random family draws in the order
     # a scalar insert-then-search loop would
-    starts = h.hash_array(np.concatenate([key_array, np.array(absent, dtype=np.uint64)])).tolist()
+    starts = h.hash_array(np.concatenate([key_array, absent])).tolist()
     table = ProbeTable(t, h)
-    ins = np.array([table.insert(x, s)[1] for x, s in zip(keys, starts[:n])], dtype=np.int64)
-    srch = np.array([table.search(q, s).probes for q, s in zip(absent, starts[n:])],
+    ins = np.array([table.insert(x, s)[1] for x, s in zip(key_array.tolist(), starts[:n])],
+                   dtype=np.int64)
+    srch = np.array([table.search(q, s).probes for q, s in zip(absent.tolist(), starts[n:])],
                     dtype=np.int64)
     return ins, srch
 

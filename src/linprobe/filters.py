@@ -161,28 +161,30 @@ def measure_fpr(
 
     A shadow table of the keys at the same starts counts, per query, the
     keys scanned to the first empty slot; their mean scales the FPR bound.
+    Its occupied slots do not depend on insertion order, so it is built
+    order-free (`ProbeTable.from_starts`).  Every query is a non-member, so
+    its scan is that of a search for None from its start.
     """
     n, trials = _integer("n", n, 0), _integer("trials", trials, 1)
     place_array = _placement(t, b, mode, seed, stream)[1]
     if n >= t:
         raise ValueError(f"n must be below t = {t}: one slot stays empty, got {n}")
-    flt, shadow = ProbeTable(t, None), ProbeTable(t, None)
+    flt = ProbeTable(t, None)
     rng = derived_rng(seed, stream + 1_000_003)
     drawn = sample_distinct_keys(rng, n + trials, MERSENNE61)
     starts, sigs = place_array(drawn)  # every key in one batch
-    key_starts = starts[:n].tolist()
-    positions = [flt.insert(sig, start)[0] for sig, start in zip(sigs[:n].tolist(), key_starts)]
-    for x, start in zip(drawn[:n].tolist(), key_starts):
-        shadow.insert(x, start)
+    positions = [flt.insert(sig, start)[0]
+                 for sig, start in zip(sigs[:n].tolist(), starts[:n].tolist())]
     occupied, values = np.zeros(t, dtype=bool), np.zeros(t, dtype=np.uint64)
     occupied[positions], values[positions] = True, sigs[:n]
-    del key_starts, positions  # no per-key list lives into the queries
+    del positions  # no per-key list lives into the queries
     false_pos = int(_scan_found(values, occupied, starts[n:], sigs[n:]).sum())
-    scan_total = 0
-    for lo in range(n, n + trials, 1 << 14):  # so the queries' ints never all live at once
-        hi = lo + (1 << 14)
-        scan_total += sum(shadow.search(q, start).probes - 1
-                          for q, start in zip(drawn[lo:hi].tolist(), starts[lo:hi].tolist()))
+    shadow = ProbeTable.from_starts(t, drawn[:n], starts[:n])
+    probes = 0
+    for lo in range(n, n + trials, 1 << 14):  # so the starts' ints never all live at once
+        probes += sum(shadow.search(None, start).probes
+                      for start in starts[lo:lo + (1 << 14)].tolist())
+    scan_total = probes - trials  # a scan's last probe reads the empty slot
     return FprReport(
         mode=mode,
         b=b,

@@ -62,13 +62,9 @@ def _power_of_two(name: str, value) -> int:
 
 _LOW32 = 0xFFFFFFFF
 _LOW29 = (1 << 29) - 1
-
-
-def _reduce61(x: np.ndarray) -> np.ndarray:
-    """x mod 2^61 - 1 for any uint64 array, using 2^61 = 1 (mod p)."""
-    x = (x & MERSENNE61) + (x >> 61)
-    np.subtract(x, MERSENNE61, out=x, where=x >= MERSENNE61)
-    return x
+# keys per block of `_mersenne_horner`: its five block buffers and the block
+# of output, 128 KiB each, stay in a 2 MiB per-core L2 cache
+_HORNER_BLOCK = 1 << 14
 
 
 def _key(x, bound: int = MERSENNE61) -> int:
@@ -104,30 +100,44 @@ def _mersenne_horner(coefficients: tuple[int, ...], keys) -> np.ndarray:
     bit-identical to the scalar path (Thorup, arXiv:1504.06804).
 
     Every product of residues is split into 32-bit halves and folded with
-    2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.
+    2^64 = 8 and 2^61 = 1 (mod p), so no partial sum overflows.  The keys
+    go through `_HORNER_BLOCK` at a time, each block's accumulator held in
+    its slice of the output, with in-place ufuncs on preallocated buffers.
     """
     x = _key_array(keys)
-    x_hi, x_lo = x >> 32, x & _LOW32
-    acc = np.full(x.shape, coefficients[-1], dtype=np.uint64)
-    for a in reversed(coefficients[:-1]):
-        # acc * x = hh * 2^64 + mid * 2^32 + ll, with hh < 2^58, mid < 2^62, ll < 2^64
-        acc_hi, acc_lo = acc >> 32, acc & _LOW32
-        mid = acc_hi * x_lo
-        mid += acc_lo * x_hi
-        hh = np.multiply(acc_hi, x_hi, out=acc_hi)
-        ll = np.multiply(acc_lo, x_lo, out=acc_lo)
-        # mid * 2^32 = (mid >> 29) * 2^61 + (mid mod 2^29) * 2^32
-        acc = hh << 3
-        acc += mid >> 29
-        mid &= _LOW29
-        mid <<= 32
-        acc += mid
-        acc += ll >> 61
-        ll &= MERSENNE61
-        acc += ll
-        acc += a  # four terms below 2^61 plus ones below 2^34: under 2^64
-        acc = _reduce61(acc)
-    return acc
+    out = np.empty(x.shape, dtype=np.uint64)
+    flat, out_flat = x.reshape(-1), out.reshape(-1)  # out is contiguous: a view
+    buffers = np.empty((5, min(flat.size, _HORNER_BLOCK)), dtype=np.uint64)
+    for lo in range(0, flat.size, _HORNER_BLOCK):
+        acc = out_flat[lo:lo + _HORNER_BLOCK]
+        x_hi, x_lo, hi, mid, tmp = buffers[:, :len(acc)]
+        np.right_shift(flat[lo:lo + _HORNER_BLOCK], 32, out=x_hi)
+        np.bitwise_and(flat[lo:lo + _HORNER_BLOCK], _LOW32, out=x_lo)
+        acc.fill(coefficients[-1])
+        for a in reversed(coefficients[:-1]):
+            # acc * x = hh * 2^64 + mid * 2^32 + ll, with hh < 2^58, mid < 2^62, ll < 2^64
+            np.right_shift(acc, 32, out=hi)
+            acc &= _LOW32
+            np.multiply(hi, x_lo, out=mid)
+            mid += np.multiply(acc, x_hi, out=tmp)
+            hi *= x_hi  # hh
+            acc *= x_lo  # ll
+            # mid * 2^32 = (mid >> 29) * 2^61 + (mid mod 2^29) * 2^32
+            hi <<= 3
+            hi += np.right_shift(mid, 29, out=tmp)
+            mid &= _LOW29
+            mid <<= 32
+            hi += mid
+            hi += np.right_shift(acc, 61, out=tmp)
+            acc &= MERSENNE61
+            acc += hi
+            acc += a  # four terms below 2^61 plus ones below 2^34: under 2^64
+            # acc mod p, by 2^61 = 1 (mod p)
+            np.right_shift(acc, 61, out=tmp)
+            acc &= MERSENNE61
+            acc += tmp
+            np.subtract(acc, MERSENNE61, out=acc, where=acc >= MERSENNE61)
+    return out
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import threading
 import numpy as np
 import pytest
 
+from linprobe import hashing
 from linprobe.hashing import (
     MERSENNE61,
     PolynomialHash,
@@ -311,6 +312,21 @@ def batch_keys(seed):
     return np.concatenate([drawn, np.array(EDGE_KEYS, dtype=np.uint64)])
 
 
+BLOCK = hashing._HORNER_BLOCK  # keys per block of the polynomial kernel
+
+
+def block_keys(size):
+    """`size` random keys with the edge keys at both ends of every block of
+    the polynomial kernel (as many as fit in the block)."""
+    keys = derived_rng(size, 0).integers(0, P, size=size, dtype=np.uint64)
+    edge = np.array(EDGE_KEYS, dtype=np.uint64)
+    for lo in range(0, size, BLOCK):
+        block = keys[lo:lo + BLOCK]
+        k = min(len(edge), len(block))
+        block[:k], block[len(block) - k:] = edge[:k], edge[len(edge) - k:]
+    return keys
+
+
 def all_families(t, seed):
     return [
         new_polynomial(1, t, seed, stream=0),
@@ -347,6 +363,27 @@ class TestHashArray:
             assert got.shape == keys.shape and got.dtype == np.uint64, type(h).__name__
             assert got.tolist() == [[h(int(k)) for k in row] for row in keys]
             assert h.hash_array(keys.T).tolist() == got.T.tolist()  # memoized for random
+
+    @pytest.mark.parametrize("size", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_polynomial_across_blocks(self, size):
+        keys = block_keys(size)
+        t = 2**56  # the widest range: all but 5 bits of each value compared
+        for h in [*(new_polynomial(k, t, size, stream=k) for k in (1, 2, 3, 5)),
+                  PolynomialHash((P - 1,) * 5, t)]:
+            assert h.hash_array(keys).tolist() == [h(k) for k in keys.tolist()], h.coefficients
+
+    def test_zero_dimensional_batch(self):
+        for h in all_families(2**11, seed=4):
+            for key in EDGE_KEYS:
+                got = h.hash_array(np.array(key, dtype=np.uint64))
+                assert got.shape == () and got.dtype == np.uint64, type(h).__name__
+                assert int(got) == h(key)
+
+    def test_small_blocks(self, monkeypatch):
+        # blocks of 3 keys: the 2-D and transposed batches end in a partial block
+        monkeypatch.setattr(hashing, "_HORNER_BLOCK", 3)
+        self.test_empty_batch()
+        self.test_two_dimensional_batch()
 
     @pytest.mark.parametrize("t", [2, 2**11, 2**17])
     def test_truly_random_scalar_batch_scalar(self, t):

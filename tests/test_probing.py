@@ -540,6 +540,60 @@ def test_occupancy_matches_built_table(case):
 
 
 @st.composite
+def start_cases(draw):
+    """A table size t, n <= t - 1 distinct keys, their start slots (any
+    slots, all one slot, or slots near t - 1 so that runs wrap) and a
+    shuffled insertion order of the keys with their starts."""
+    t = draw(st.sampled_from([2, 4, 8, 16, 64]))
+    n = draw(st.sampled_from([0, t - 1]) | st.integers(0, t - 1))
+    keys = draw(st.lists(st.integers(0, 2**61 - 2), min_size=n, max_size=n, unique=True))
+    slot = draw(st.sampled_from(["any", "one", "wrap"]))
+    if slot == "one":
+        starts = [draw(st.integers(0, t - 1))] * n
+    else:
+        low = max(t - 3, 0) if slot == "wrap" else 0
+        starts = draw(st.lists(st.integers(low, t - 1), min_size=n, max_size=n))
+    return t, keys, starts, draw(st.permutations(keys))
+
+
+@given(start_cases())
+@example((8, list(range(10, 17)), [7] * 7, list(range(16, 9, -1))))  # full but one, wrapping
+@example((16, [5, 3, 9, 1, 7], [15, 15, 15, 0, 4], [7, 1, 9, 3, 5]))  # wrapping past t - 1
+@settings(max_examples=200, deadline=None)
+def test_from_starts_equals_fcfs_builds(case):
+    t, keys, starts, order = case
+    table = ProbeTable.from_starts(t, np.array(keys, dtype=np.uint64),
+                                   np.array(starts, dtype=np.uint64))
+    fcfs = build(t, dict(zip(keys, starts)), keys)
+    shuffled = build(t, dict(zip(keys, starts)), order)
+    mask = [s is not None for s in table.slots]
+    assert mask == [s is not None for s in fcfs.slots] == [s is not None for s in shuffled.slots]
+    assert mask == occupancy(np.bincount(np.array(starts, dtype=np.int64), minlength=t)).tolist()
+    assert table.n == len(keys) and table.hash_fn is None
+    for x, start in zip(keys, starts):
+        found, pos, probes = table.search(x, start)
+        assert found and type(table.slots[pos]) is int and table.slots[pos] == x
+        assert all(table.slots[(start + k) % t] is not None for k in range(probes))
+    for s in range(t):
+        assert table.search(None, s).probes == fcfs.search(None, s).probes
+
+
+@pytest.mark.parametrize("keys,starts,error", [
+    ([1, 1], [0, 3], ValueError),  # a duplicate key
+    ([1, 2], [0, 8], ValueError),  # a start outside [0, 8)
+    ([1, 2], [0, -1], ValueError),
+    ([1, 2], [0], ValueError),  # mismatched lengths
+    ([[1, 2]], [[0, 1]], ValueError),  # not 1-D
+    (list(range(8)), [0] * 8, ValueError),  # n = t leaves no empty slot
+    ([1.5], [0], TypeError),
+    ([1], [0.0], TypeError),
+])
+def test_from_starts_refuses(keys, starts, error):
+    with pytest.raises(error):
+        ProbeTable.from_starts(8, keys, starts)
+
+
+@st.composite
 def scan_cases(draw):
     """A slot list with at least one empty slot, and (start, item) pairs;
     starts at t - 1 and t - 2 scan past the end of the table."""
