@@ -124,15 +124,16 @@ class FprReport:
     trials: int
     false_positives: int
     fpr: float
-    mean_scan_keys: float  # E[|X(q)|] on the shadow exact table
+    mean_scan_keys: float  # E[|X(q)|]: keys a query scans to the first empty slot
 
 
 def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> np.ndarray:
     """`count` distinct uniform keys below `bound` (0 <= count <= bound, and
     fast for bound >> count), as a uint64 array in order of first draw;
     rounds of `count` draws repeat until enough are distinct."""
-    if not 0 <= count <= bound:
-        raise ValueError(f"cannot draw {count} distinct keys below {bound}")
+    count, bound = _integer("count", count, 0), _integer("bound", bound, 0)
+    if count > bound:
+        raise ValueError(f"count must be at most bound = {bound}, got {count}")
     drawn = rng.integers(0, bound, size=count, dtype=np.uint64)
     if _all_distinct(drawn):  # the usual case
         return drawn
@@ -159,11 +160,11 @@ def measure_fpr(
     It reads the filter as arrays written at the positions the inserts
     return; a skipped duplicate returns the slot of its equal signature.
 
-    A shadow table of the keys at the same starts counts, per query, the
-    keys scanned to the first empty slot; their mean scales the FPR bound.
-    Its occupied slots do not depend on insertion order, so it is built
-    order-free (`ProbeTable.from_starts`).  Every query is a non-member, so
-    its scan is that of a search for None from its start.
+    A shadow table counts, per query, the keys scanned to the first empty
+    slot; their mean scales the FPR bound.  Only its occupied slots are
+    read, and they do not depend on insertion order, so it is built from the
+    histogram of the keys' starts (`ProbeTable.from_counts`).  Every query
+    is a non-member, so its scan is that of a search for None from its start.
     """
     n, trials = _integer("n", n, 0), _integer("trials", trials, 1)
     place_array = _placement(t, b, mode, seed, stream)[1]
@@ -179,7 +180,7 @@ def measure_fpr(
     occupied[positions], values[positions] = True, sigs[:n]
     del positions  # no per-key list lives into the queries
     false_pos = int(_scan_found(values, occupied, starts[n:], sigs[n:]).sum())
-    shadow = ProbeTable.from_starts(t, drawn[:n], starts[:n])
+    shadow = ProbeTable.from_counts(np.bincount(starts[:n].astype(np.intp), minlength=t))
     probes = 0
     for lo in range(n, n + trials, 1 << 14):  # so the starts' ints never all live at once
         probes += sum(shadow.search(None, start).probes

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hashing import _all_distinct, _integer, _power_of_two
+from .hashing import _integer, _power_of_two
 
 __all__ = ["ProbeTable", "Run", "TableFullError", "check_query_run_lemma", "check_run_lemma",
     "hash_counts", "interval_counts", "max_run_from_counts", "near_full_threshold", "occupancy",
@@ -86,38 +86,14 @@ class ProbeTable:
         self.n = 0
 
     @classmethod
-    def from_starts(cls, t: int, keys, starts) -> "ProbeTable":
-        """A table (with no hash function) of the distinct integer `keys`,
-        key i placed from slot `starts[i]` in [0, t), with n < t keys.
-
-        Occupancy does not depend on insertion order, so the table takes the
-        slots of `occupancy(np.bincount(starts))`.  Inserting the keys in
-        order of start, read cyclically from the slot after an empty one,
-        places the k-th of them at the k-th occupied slot from there: a
-        valid layout, and every scan to an empty slot is that of any order.
-        """
-        table = cls(t, None)
-        keys, starts = np.asarray(keys), np.asarray(starts)
-        if keys.shape != starts.shape or keys.ndim != 1:
-            raise ValueError("keys and starts must be 1-D and of equal length")
-        if len(keys) >= table.t:
-            raise ValueError(f"{len(keys)} keys leave no empty slot in {table.t}")
-        if not len(keys):
-            return table
-        if keys.dtype.kind not in "iu" or starts.dtype.kind not in "iu":
-            raise TypeError("keys and starts must be integers")
-        if starts.min() < 0 or starts.max() >= table.t:
-            raise ValueError(f"start slots must lie in [0, {table.t})")
-        if not _all_distinct(keys):
-            raise ValueError("keys must be distinct")
-        starts = starts.astype(np.intp)
-        occupied = occupancy(np.bincount(starts, minlength=table.t))
-        after_empty = int(np.argmin(occupied)) + 1
-        order = np.argsort((starts - after_empty) % table.t)
-        positions = (np.flatnonzero(np.roll(occupied, -after_empty)) + after_empty) % table.t
-        slots = np.full(table.t, None, dtype=object)
-        slots[positions] = keys[order]
-        table.slots, table.n = slots.tolist(), len(keys)
+    def from_counts(cls, counts: np.ndarray) -> "ProbeTable":
+        """A table (with no hash function) whose occupied slots are those of
+        the per-slot hash histogram `counts`, each holding -1: no key in
+        [0, p) or signature equals it, so a search finds nothing and scans
+        to the empty slot that any insertion order would leave."""
+        table = cls(len(counts), None)
+        table.slots = np.where(occupancy(counts), -1, None).tolist()
+        table.n = int(counts.sum())
         return table
 
     def keys(self):
@@ -272,7 +248,10 @@ def hash_counts(table: ProbeTable) -> np.ndarray:
 
 def interval_counts(counts: np.ndarray, level: int) -> np.ndarray:
     """Entry i is the number of hashes in the aligned interval of slots
-    [i * 2^level, (i + 1) * 2^level), from the per-slot histogram `counts`."""
+    [i * 2^level, (i + 1) * 2^level), from the per-slot histogram `counts`,
+    for a level in [0, log2 len(counts)]."""
+    if _integer("level", level, 0) > len(counts).bit_length() - 1:
+        raise ValueError(f"level must be at most log2 {len(counts)}, got {level}")
     return counts.reshape(-1, 1 << level).sum(axis=1)
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from linprobe import experiments, filters, hashing, moments
 from linprobe.experiments import ExperimentConfig, run_experiment
-from linprobe.filters import make_filter, measure_fpr
+from linprobe.filters import make_filter, measure_fpr, sample_distinct_keys
 from linprobe.hashing import (
     PolynomialHash,
     TabulationHash,
@@ -32,7 +32,7 @@ from linprobe.moments import (
     kth_moment_bound_terms,
     tail_check,
 )
-from linprobe.probing import ProbeTable, table_size_for
+from linprobe.probing import ProbeTable, interval_counts, table_size_for
 
 SMALL, LARGE = BernoulliProfile.uniform(20, 0.5), BernoulliProfile.uniform(64, 0.5)
 BAD = (True, 2.5, "4", None, math.nan, math.inf, -1)
@@ -62,6 +62,11 @@ CASES = {
     "measure_fpr.b": ("b", 1, lambda v: measure_fpr(64, v, "independent", 10, 5, 0)),
     "measure_fpr.n": ("n", 0, lambda v: measure_fpr(64, 4, "paired", v, 5, 0)),
     "measure_fpr.trials": ("trials", 1, lambda v: measure_fpr(64, 4, "paired", 10, v, 0)),
+    # rng None: a call that draws fails with no argument's name
+    "sample_distinct_keys.count": ("count", 0, lambda v: sample_distinct_keys(None, v, 10)),
+    "sample_distinct_keys.bound": ("bound", 0, lambda v: sample_distinct_keys(None, 3, v)),
+    "interval_counts": ("level", range(0, 5),
+                        lambda v: interval_counts(np.zeros(16, dtype=np.int64), v)),
     "BernoulliProfile.uniform": ("n", 0, lambda v: BernoulliProfile.uniform(v, 0.5)),
     "table_size_for": ("n", 0, lambda v: table_size_for(v)),
     "brute_force_moment": ("k", 0, lambda v: brute_force_moment(SMALL, v)),

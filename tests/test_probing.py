@@ -560,37 +560,31 @@ def start_cases(draw):
 @example((8, list(range(10, 17)), [7] * 7, list(range(16, 9, -1))))  # full but one, wrapping
 @example((16, [5, 3, 9, 1, 7], [15, 15, 15, 0, 4], [7, 1, 9, 3, 5]))  # wrapping past t - 1
 @settings(max_examples=200, deadline=None)
-def test_from_starts_equals_fcfs_builds(case):
+def test_from_counts_scans_as_fcfs_builds(case):
     t, keys, starts, order = case
-    table = ProbeTable.from_starts(t, np.array(keys, dtype=np.uint64),
-                                   np.array(starts, dtype=np.uint64))
+    counts = np.bincount(np.array(starts, dtype=np.int64), minlength=t)
+    table = ProbeTable.from_counts(counts)
     fcfs = build(t, dict(zip(keys, starts)), keys)
     shuffled = build(t, dict(zip(keys, starts)), order)
     mask = [s is not None for s in table.slots]
     assert mask == [s is not None for s in fcfs.slots] == [s is not None for s in shuffled.slots]
-    assert mask == occupancy(np.bincount(np.array(starts, dtype=np.int64), minlength=t)).tolist()
+    assert mask == occupancy(counts).tolist()
     assert table.n == len(keys) and table.hash_fn is None
-    for x, start in zip(keys, starts):
-        found, pos, probes = table.search(x, start)
-        assert found and type(table.slots[pos]) is int and table.slots[pos] == x
-        assert all(table.slots[(start + k) % t] is not None for k in range(probes))
     for s in range(t):
         assert table.search(None, s).probes == fcfs.search(None, s).probes
+    for x, start in zip(keys, starts):
+        assert not table.search(x, start).found
 
 
-@pytest.mark.parametrize("keys,starts,error", [
-    ([1, 1], [0, 3], ValueError),  # a duplicate key
-    ([1, 2], [0, 8], ValueError),  # a start outside [0, 8)
-    ([1, 2], [0, -1], ValueError),
-    ([1, 2], [0], ValueError),  # mismatched lengths
-    ([[1, 2]], [[0, 1]], ValueError),  # not 1-D
-    (list(range(8)), [0] * 8, ValueError),  # n = t leaves no empty slot
-    ([1.5], [0], TypeError),
-    ([1], [0.0], TypeError),
-])
-def test_from_starts_refuses(keys, starts, error):
-    with pytest.raises(error):
-        ProbeTable.from_starts(8, keys, starts)
+@pytest.mark.parametrize("counts,message", [
+    ([8, 0, 0, 0, 0, 0, 0, 0], "table is full"),  # n = t leaves no empty slot
+    ([1] * 8, "table is full"),
+    ([0, 1, 0, 0, 0, 0], "^t must be a power of two"),
+    ([], "^t must be at least 1"),
+], ids=["full in one slot", "full", "6 slots", "0 slots"])
+def test_from_counts_refuses(counts, message):
+    with pytest.raises(ValueError, match=message):
+        ProbeTable.from_counts(np.array(counts, dtype=np.int64))
 
 
 @st.composite
