@@ -12,12 +12,12 @@ of --threads.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
-    default_config,
     rows_to_csv,
     rows_to_json,
     run_experiment,
@@ -29,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="linprobe", description="linear-probing and signature-filter experiments"
     )
     parser.add_argument("--experiment", help="experiment name (see --list)")
-    parser.add_argument("--config", help="JSON config file; defaults are used if omitted")
+    parser.add_argument("--config", help="JSON object of config fields; each field it leaves "
+                                         "out takes the experiment's default")
     parser.add_argument("--seed", type=int,
                         help="root seed (default: the config file's seed, else 0)")
     parser.add_argument("--out", help="output file path")
@@ -55,9 +56,6 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("error: --experiment is required (or use --list)", file=sys.stderr)
         return 2
-    if args.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}; try --list", file=sys.stderr)
-        return 2
     if not args.out:
         parser.print_usage(sys.stderr)
         print("error: --out is required", file=sys.stderr)
@@ -67,11 +65,12 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        seed = {} if args.seed is None else {"seed": args.seed}
+        raw = {}
         if args.config:
-            config = ExperimentConfig.from_json(args.config, experiment=args.experiment, **seed)
-        else:
-            config = default_config(args.experiment, **seed)
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        seed = {} if args.seed is None else {"seed": args.seed}
+        config = ExperimentConfig.from_dict({**raw, "experiment": args.experiment, **seed})
     except (OSError, ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return 2

@@ -23,6 +23,7 @@ from .hashing import (
     FAMILIES,
     MERSENNE61,
     _integer,
+    _real,
     derived_rng,
     derived_seed,
     make_family,
@@ -77,7 +78,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise ValueError(f"unknown experiment {self.experiment!r}; "
+                             f"choose from {', '.join(sorted(EXPERIMENTS))}")
         for name in _LIST_FIELDS:  # a list or tuple, held as a tuple; never a str
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):
@@ -89,10 +91,7 @@ class ExperimentConfig:
         for family in self.families:
             if family not in FAMILIES and family not in SEQ_FAMILIES:
                 raise ValueError(f"unknown hash family {family!r}")
-        if isinstance(self.load_target, bool) or not isinstance(self.load_target, (int, float)):
-            raise ValueError(f"load_target must be a real number, got {self.load_target!r}")
-        if not 0 < self.load_target < 1:
-            raise ValueError("load target must lie in (0, 1)")
+        _real("load_target", self.load_target, lambda v: 0 < v < 1, "a number in (0, 1)")
         for name, least in _INT_FIELDS:
             value = getattr(self, name)
             for v in value if name in _LIST_FIELDS else (value,):
@@ -109,17 +108,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        """The config of raw["experiment"] with raw's fields in place of its
+        defaults (`DEFAULT_OVERRIDES` over the field defaults)."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**raw)
-
-    @classmethod
-    def from_json(cls, path: str, **override) -> "ExperimentConfig":
-        """Config from a JSON file; keyword fields take precedence over it."""
-        with open(path) as fh:
-            return cls.from_dict({**json.load(fh), **override})
+        return cls(**{**DEFAULT_OVERRIDES.get(raw.get("experiment"), {}), **raw})
 
 
 @dataclass(frozen=True)
@@ -366,8 +360,7 @@ DEFAULT_OVERRIDES = {
 
 
 def default_config(experiment: str, seed: int = 0) -> ExperimentConfig:
-    return ExperimentConfig(experiment=experiment, seed=seed,
-                            **DEFAULT_OVERRIDES.get(experiment, {}))
+    return ExperimentConfig.from_dict({"experiment": experiment, "seed": seed})
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[Row]:

@@ -132,6 +132,8 @@ def sample_distinct_keys(rng: np.random.Generator, count: int, bound: int) -> np
     fast for bound >> count), as a uint64 array in order of first draw;
     rounds of `count` draws repeat until enough are distinct."""
     count, bound = _integer("count", count, 0), _integer("bound", bound, 0)
+    if bound > 1 << 64:  # uint64 keys
+        raise ValueError(f"bound must be at most 2^64, got {bound}")
     if count > bound:
         raise ValueError(f"count must be at most bound = {bound}, got {count}")
     drawn = rng.integers(0, bound, size=count, dtype=np.uint64)

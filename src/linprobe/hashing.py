@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 import threading
 from collections import Counter
@@ -50,6 +51,15 @@ def _integer(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, within, what: str) -> None:
+    """`ValueError` unless `value` is a real number (numpy floats pass; a
+    bool and nan do not) that `within` accepts; the message starts with
+    `name` and says it must be `what`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or value != value or not within(value)):  # nan != nan
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def _power_of_two(name: str, value) -> int:

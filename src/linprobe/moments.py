@@ -5,14 +5,13 @@ forms, brute-force enumeration oracles, and tail-probability reports.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .hashing import _integer, derived_rng
+from .hashing import _integer, _real, derived_rng
 
 __all__ = ["BernoulliProfile", "TailReport", "brute_force_moment", "exact_fourth_moment",
     "fourth_moment_bound", "fourth_moment_bound_sharp", "kth_moment_bound_check",
@@ -143,15 +142,13 @@ def _fsum_blocks(blocks) -> float:
 
 def fourth_moment_bound(mu: float) -> float:
     """The bound 4 * mu^2 on E[(X - mu)^4]; valid for mu >= 1."""
-    if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
-        raise ValueError(f"mu must be a number of at least 1, got {mu!r}")
+    _real("mu", mu, lambda v: v >= 1, "a number of at least 1")
     return 4.0 * mu * mu
 
 
 def fourth_moment_bound_sharp(mu: float) -> float:
     """The sharper intermediate bound mu + 3 * mu^2."""
-    if isinstance(mu, bool) or not isinstance(mu, numbers.Real) or not mu >= 1:  # nan fails
-        raise ValueError(f"mu must be a number of at least 1, got {mu!r}")
+    _real("mu", mu, lambda v: v >= 1, "a number of at least 1")
     return mu + 3.0 * mu * mu
 
 
@@ -201,8 +198,7 @@ def tail_check(
     Exact by enumeration when n <= ENUM_LIMIT, otherwise Monte Carlo with
     `trials` samples from the given seed.
     """
-    if isinstance(d, bool) or not isinstance(d, numbers.Real) or not 0 < d < math.inf:
-        raise ValueError(f"d must be a finite positive number, got {d!r}")
+    _real("d", d, lambda v: 0 < v < math.inf, "a finite positive number")
     k, trials = _integer("k", k, 2), _integer("trials", trials, 1)
     mu = profile.mu
     if mu < 1:

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hashing import _integer, _power_of_two
+from .hashing import _integer, _power_of_two, _real
 
 __all__ = ["ProbeTable", "Run", "TableFullError", "check_query_run_lemma", "check_run_lemma",
     "hash_counts", "interval_counts", "max_run_from_counts", "near_full_threshold", "occupancy",
@@ -171,6 +170,22 @@ def verify_fill_invariant(table: ProbeTable):
     return None
 
 
+def _histogram(counts: np.ndarray) -> np.ndarray:
+    """`counts`, if it is a per-slot hash histogram: a 1-D integer array
+    (`TypeError` otherwise) of power-of-two length with no negative entry
+    (`ValueError` otherwise); messages start with "counts"."""
+    if not isinstance(counts, np.ndarray) or counts.ndim != 1 or counts.dtype.kind not in "iu":
+        got = (f"a {counts.ndim}-D {counts.dtype} array" if isinstance(counts, np.ndarray)
+               else type(counts).__name__)
+        raise TypeError(f"counts must be a 1-D integer array, got {got}")
+    t = len(counts)
+    if not t or t & (t - 1):
+        raise ValueError(f"counts must have a power-of-two length, got {t}")
+    if counts.dtype.kind == "i" and counts.min() < 0:
+        raise ValueError(f"counts must have no negative entry, got {counts.min()}")
+    return counts
+
+
 def occupancy(counts: np.ndarray) -> np.ndarray:
     """Occupied-slot mask of the linear probing table whose per-slot hash
     histogram is `counts`; occupancy does not depend on insertion order.
@@ -181,7 +196,7 @@ def occupancy(counts: np.ndarray) -> np.ndarray:
     minus its running minimum floored at 0.  A slot is empty exactly where
     that minimum drops.
     """
-    t = len(counts)
+    t = len(_histogram(counts))
     if counts.sum() >= t:
         raise ValueError("table is full")
     s = np.subtract(counts, 1, dtype=np.int64)
@@ -250,8 +265,9 @@ def interval_counts(counts: np.ndarray, level: int) -> np.ndarray:
     """Entry i is the number of hashes in the aligned interval of slots
     [i * 2^level, (i + 1) * 2^level), from the per-slot histogram `counts`,
     for a level in [0, log2 len(counts)]."""
-    if _integer("level", level, 0) > len(counts).bit_length() - 1:
-        raise ValueError(f"level must be at most log2 {len(counts)}, got {level}")
+    t = len(_histogram(counts))
+    if _integer("level", level, 0) > t.bit_length() - 1:
+        raise ValueError(f"level must be at most log2 {t}, got {level}")
     return counts.reshape(-1, 1 << level).sum(axis=1)
 
 
@@ -318,8 +334,7 @@ def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
 def table_size_for(n: int, max_load: float = 2 / 3) -> int:
     """Smallest power of two t with n/t <= max_load, for a max_load in (0, 1)."""
     n = _integer("n", n, 0)
-    if isinstance(max_load, bool) or not isinstance(max_load, numbers.Real) or not 0 < max_load < 1:
-        raise ValueError(f"max_load must be a number in (0, 1), got {max_load!r}")
+    _real("max_load", max_load, lambda v: 0 < v < 1, "a number in (0, 1)")
     if n < 1:
         return 2
     t = 1 << math.ceil(math.log2(n / max_load))

@@ -2,9 +2,11 @@
 or a non-integer raises TypeError, a value below the argument's least value
 (or above its most, or a non-power of two where one is needed) raises
 ValueError, and each message starts with the argument's name.  The
-real-valued bounds `d`, `mu` and `max_load` raise ValueError for anything
-but a number in range, nan included.  A refused call draws and enumerates
-nothing first; numpy integers are accepted."""
+real-valued bounds `d`, `mu`, `max_load` and `load_target` raise ValueError
+for anything but a number in range, nan included.  A per-slot histogram
+`counts` must be a 1-D integer array (TypeError) of power-of-two length with
+no negative entry (ValueError).  A refused call draws and enumerates nothing
+first; numpy integers and floats are accepted."""
 
 import math
 
@@ -32,7 +34,13 @@ from linprobe.moments import (
     kth_moment_bound_terms,
     tail_check,
 )
-from linprobe.probing import ProbeTable, interval_counts, table_size_for
+from linprobe.probing import (
+    ProbeTable,
+    interval_counts,
+    max_run_from_counts,
+    occupancy,
+    table_size_for,
+)
 
 SMALL, LARGE = BernoulliProfile.uniform(20, 0.5), BernoulliProfile.uniform(64, 0.5)
 BAD = (True, 2.5, "4", None, math.nan, math.inf, -1)
@@ -64,7 +72,8 @@ CASES = {
     "measure_fpr.trials": ("trials", 1, lambda v: measure_fpr(64, 4, "paired", 10, v, 0)),
     # rng None: a call that draws fails with no argument's name
     "sample_distinct_keys.count": ("count", 0, lambda v: sample_distinct_keys(None, v, 10)),
-    "sample_distinct_keys.bound": ("bound", 0, lambda v: sample_distinct_keys(None, 3, v)),
+    "sample_distinct_keys.bound": ("bound", range(0, 2**64 + 1),
+                                   lambda v: sample_distinct_keys(None, 3, v)),
     "interval_counts": ("level", range(0, 5),
                         lambda v: interval_counts(np.zeros(16, dtype=np.int64), v)),
     "BernoulliProfile.uniform": ("n", 0, lambda v: BernoulliProfile.uniform(v, 0.5)),
@@ -115,16 +124,52 @@ def max_load(v):
     return table_size_for(4, v)
 
 
+def load_target(v):
+    return ExperimentConfig("max_run", n_values=(8,), load_target=v)
+
+
 @pytest.mark.parametrize("call,value", [
     *((lambda v: tail_check(SMALL, v), v) for v in (True, "4", None, math.nan, math.inf, -1, 0)),
     *((lambda v: tail_check(LARGE, v, trials=9, seed=1), v) for v in (True, "4", math.inf, 0)),
     *((bound, v) for bound in (fourth_moment_bound, fourth_moment_bound_sharp)
       for v in ("4", None, math.nan, -1, 0.5, True)),
-    *((max_load, v) for v in (True, "4", None, math.nan, math.inf, -1, 0, 1, 1.0)),
+    *((bound, v) for bound in (max_load, load_target)
+      for v in (True, "4", None, math.nan, math.inf, -1, 0, 1, 1.0, np.float32(1))),
 ])
 def test_real_bound_refused_by_name(nothing_drawn, call, value):
-    with pytest.raises(ValueError, match="^(d|mu|max_load) "):
+    with pytest.raises(ValueError, match="^(d|mu|max_load|load_target) "):
         call(value)
+
+
+def test_numpy_floats_accepted():
+    f = np.float32
+    assert table_size_for(4, f(0.5)) == table_size_for(4, 0.5) == 8
+    assert load_target(f(0.5)).load_target == 0.5
+    assert fourth_moment_bound(f(2)) == fourth_moment_bound(2)
+    assert tail_check(SMALL, f(2)) == tail_check(SMALL, 2.0)
+
+
+HISTOGRAM_CALLS = {"occupancy": occupancy, "max_run_from_counts": max_run_from_counts,
+                   "interval_counts": lambda counts: interval_counts(counts, 1),
+                   "ProbeTable.from_counts": ProbeTable.from_counts}
+# (histogram, error): a non-array, a non-integer dtype, a shape other than
+# 1-D, a length that is no power of two and a negative entry
+HISTOGRAMS = [
+    (np.zeros(12), TypeError), ([0, 0, 0, 0], TypeError), (np.array([0.5, 0, 0, 0]), TypeError),
+    (np.zeros(4, dtype=bool), TypeError), (np.zeros((2, 2), dtype=np.int64), TypeError),
+    (np.zeros(12, dtype=np.int64), ValueError), (np.zeros(0, dtype=np.int64), ValueError),
+    (np.array([-1, 0, 0, 0]), ValueError), (np.array([2, -1, 0, 0]), ValueError),
+]
+
+
+# from_counts refuses a length that is no power of two by the rule of its
+# table size t, before it reads the histogram (test_probing)
+@pytest.mark.parametrize("case,counts,error", [
+    (case, counts, error) for case in HISTOGRAM_CALLS for counts, error in HISTOGRAMS
+    if case != "ProbeTable.from_counts" or len(counts) in (2, 4)])
+def test_histogram_refused_by_name(case, counts, error):
+    with pytest.raises(error, match="^counts "):
+        HISTOGRAM_CALLS[case](counts)
 
 
 def test_numpy_integers_accepted():

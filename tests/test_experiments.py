@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import types
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -52,11 +53,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"experiment": "probe_cost", "bogus": 1})
 
-    def test_round_trip_from_json(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"experiment": "max_run", "n_values": [64], "table_trials": 2}))
-        cfg = ExperimentConfig.from_json(str(path))
-        assert cfg.experiment == "max_run" and cfg.n_values == (64,)
+    def test_round_trip_through_json(self):
+        for cfg in (tiny_config("max_run", n_values=[64]), *map(default_config, EXPERIMENTS)):
+            assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_from_dict_starts_from_the_experiments_defaults(self, experiment):
+        assert ExperimentConfig.from_dict({"experiment": experiment}) == default_config(experiment)
+        assert (ExperimentConfig.from_dict({"experiment": experiment, "table_trials": 3})
+                == replace(default_config(experiment), table_trials=3))
 
     def test_validates_load(self):
         with pytest.raises(ValueError):

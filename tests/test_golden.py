@@ -3,6 +3,7 @@ pinned by sha256 at seeds 0 and 42.  A refactor that changes any row
 fails here."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -62,5 +63,16 @@ def test_csv_bytes_pinned(experiment, seed, threads):
 def test_default_cli_bytes_pinned(tmp_path, experiment, seed):
     out = tmp_path / "rows.csv"
     assert cli_main(["--experiment", experiment, "--seed", str(seed), "--out", str(out),
+                     "--threads", "2"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_PINS[experiment, seed]
+
+
+# a config file that names only the seed runs the experiment's default config
+@pytest.mark.parametrize("experiment,seed", [k for k in sorted(DEFAULT_PINS)
+                                             if k[0] in ("max_run", "interval_concentration")])
+def test_seed_only_config_file_bytes_pinned(tmp_path, experiment, seed):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rows.csv"
+    cfg.write_text(json.dumps({"seed": seed}))
+    assert cli_main(["--experiment", experiment, "--config", str(cfg), "--out", str(out),
                      "--threads", "2"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_PINS[experiment, seed]
