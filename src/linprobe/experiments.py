@@ -77,7 +77,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
+        if not isinstance(self.experiment, str) or self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {', '.join(sorted(EXPERIMENTS))}")
         for name in _LIST_FIELDS:  # a list or tuple, held as a tuple; never a str
@@ -113,7 +113,8 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**{**DEFAULT_OVERRIDES.get(raw.get("experiment"), {}), **raw})
+        name = raw.get("experiment")  # a non-str name is refused by __post_init__
+        return cls(**{**(DEFAULT_OVERRIDES.get(name, {}) if isinstance(name, str) else {}), **raw})
 
 
 @dataclass(frozen=True)

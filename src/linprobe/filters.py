@@ -72,35 +72,30 @@ def make_filter(t: int, b: int, mode: str, seed: int, *, stream: int = 0) -> Sig
 
 
 def _placement(t: int, b: int, mode: str, seed: int, stream: int) -> tuple[Callable, Callable]:
-    """The mode's placement x -> (start slot, signature), and its batch form:
-    a uint64 key array -> (starts, signatures) uint64 arrays, equal key by key."""
+    """The mode's placement x -> (start slot, signature) and its batch form over a
+    uint64 key array: the mode's one rule, given its hashes or their `hash_array`s."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     t = _power_of_two("t", t)
     b = _check_width(t, b, mode)
-    if mode in ("independent", "hash_of_signature"):
-        h = make_family("poly5", t, seed, 2 * stream)
-        s = make_family("poly2", 1 << b, seed, 2 * stream + 1)
-        of_sig = mode == "hash_of_signature"
+    if mode in ("paired", "tabulation_paired"):
+        hashes = (make_family("poly5" if mode == "paired" else "tabulation", t << b, seed, stream),)
 
-        def place(x: int) -> tuple[int, int]:
-            sig = s(x)
-            return h(sig if of_sig else x), sig
-
-        def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            sigs = s.hash_array(keys)
-            return h.hash_array(sigs if of_sig else keys), sigs
-    else:
-        wide = make_family("poly5" if mode == "paired" else "tabulation", t << b, seed, stream)
-
-        def place(x: int) -> tuple[int, int]:
-            return divmod(wide(x), 1 << b)
-
-        def place_array(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            value = wide.hash_array(keys)
+        def rule(wide, x):
+            value = wide(x)
             return value >> b, value & ((1 << b) - 1)
-
-    return place, place_array
+    else:
+        hashes = (make_family("poly5", t, seed, 2 * stream),
+                  make_family("poly2", 1 << b, seed, 2 * stream + 1))
+        if mode == "independent":
+            def rule(h, s, x):
+                return h(x), s(x)
+        else:
+            def rule(h, s, x):
+                sig = s(x)
+                return h(sig), sig
+    batch = [f.hash_array for f in hashes]
+    return (lambda x: rule(*hashes, x)), (lambda keys: rule(*batch, keys))
 
 
 def _check_width(t: int, b: int, mode: str) -> int:

@@ -38,9 +38,8 @@ def derived_rng(root_seed: int, stream: int) -> np.random.Generator:
 
 def derived_seed(root_seed: int, stream: int) -> int:
     """A single 64-bit seed identifying (root, stream); emitted in reports."""
-    ss = np.random.SeedSequence(entropy=root_seed, spawn_key=(stream,))
-    state = ss.generate_state(2, dtype=np.uint64)
-    return int(state[0])
+    ss = derived_rng(root_seed, stream).bit_generator.seed_seq
+    return int(ss.generate_state(2, dtype=np.uint64)[0])
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -243,22 +242,21 @@ class TabulationHash:
     def range_t(self) -> int:
         return 1 << self.output_bits
 
-    def __call__(self, x: int) -> int:
-        x, mask = _key(x, self._key_bound), (1 << self._char_bits) - 1
-        out = 0
-        for row in self._rows:
-            out ^= row[x & mask]
-            x >>= self._char_bits
+    def _lookup(self, rows, x, out):
+        """`out` XOR the entry of row j at character j of x, for every row:
+        the one rule of a Python-int key and of a uint64 key array."""
+        bits, mask = self._char_bits, (1 << self._char_bits) - 1
+        for j, row in enumerate(rows):
+            out ^= row[(x >> j * bits) & mask]
         return out
+
+    def __call__(self, x: int) -> int:
+        return self._lookup(self._rows, _key(x, self._key_bound), 0)
 
     def hash_array(self, keys: np.ndarray) -> np.ndarray:
         """`__call__` of every key, as a uint64 array."""
         x = _key_array(keys, self._key_bound)
-        mask = (1 << self._char_bits) - 1
-        out = np.zeros(x.shape, dtype=np.uint64)
-        for j, row in enumerate(self.tables):
-            out ^= row[(x >> (j * self._char_bits)) & mask]
-        return out
+        return self._lookup(self.tables, x, np.zeros(x.shape, dtype=np.uint64))
 
 
 def new_tabulation(

@@ -95,6 +95,12 @@ class ProbeTable:
         table.n = int(counts.sum())
         return table
 
+    def _hash(self, x: int) -> int:
+        """h(x), for an insert or search given no `start`."""
+        if self.hash_fn is None:
+            raise TypeError("this table has no hash function: pass start, the slot h(x)")
+        return self.hash_fn(x)
+
     def keys(self):
         return (x for x in self.slots if x is not None)
 
@@ -107,7 +113,7 @@ class ProbeTable:
         never fills the last empty slot, so every scan ends.
         """
         if start is None:
-            start = self.hash_fn(x)
+            start = self._hash(x)
         elif not 0 <= start < self.t:
             raise ValueError(f"start slot {start} outside [0, {self.t})")
         slots, mask, i = self.slots, self.t - 1, start
@@ -126,7 +132,7 @@ class ProbeTable:
         to the one insert would perform, and the result is shared with every
         absent search of as many probes."""
         if start is None:
-            start = self.hash_fn(x)
+            start = self._hash(x)
         elif not 0 <= start < self.t:
             raise ValueError(f"start slot {start} outside [0, {self.t})")
         slots, mask, i = self.slots, self.t - 1, start

@@ -1,11 +1,14 @@
 import concurrent.futures
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import types
 from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,6 +79,13 @@ class TestConfig:
             ExperimentConfig(experiment="nope")
         with pytest.raises(ValueError, match="unknown experiment 'nope'"):
             ExperimentConfig.from_dict({"experiment": "nope"})
+        # a name that is no str is refused by name, not by a failed dict lookup
+        for name in (["max_run"], {"max_run": 1}, 3, None):
+            message = f"^unknown experiment {re.escape(repr(name))}; choose from "
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(experiment=name)
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig.from_dict({"experiment": name})
 
     @pytest.mark.parametrize("experiment,name", [
         *((e, name) for e in sorted(EXPERIMENTS) for name in ("families", "n_values")),
@@ -278,6 +288,49 @@ def test_probe_cost_trial_matches_carry_model(family, n, t):
     total_carry, to_empty = carry_model(np.bincount(starts[:n], minlength=t))
     assert ins.sum() == n + total_carry
     assert srch.tolist() == [1 + to_empty[s] for s in starts[n:]]
+
+
+def exact_probe_means(t, n):
+    """E[mean insert probes] and E[mean absent-search probes] when n keys
+    are inserted at uniform independent starts into a table of t slots:
+    every one of the t^n start tuples is built in plain loops, and every
+    absent search starts at each of the t slots alike."""
+    insert_total = absent_total = 0
+    for starts in itertools.product(range(t), repeat=n):
+        full = [False] * t
+        for start in starts:
+            slot = start
+            while full[slot]:
+                slot = (slot + 1) % t
+            full[slot] = True
+            insert_total += (slot - start) % t + 1
+        for start in range(t):
+            slot = start
+            while full[slot]:
+                slot = (slot + 1) % t
+            absent_total += (slot - start) % t + 1
+    return Fraction(insert_total, t**n * n), Fraction(absent_total, t**n * t)
+
+
+def test_exact_probe_means_at_toy_size():
+    assert exact_probe_means(8, 5) == (Fraction(1403, 1024), Fraction(9881, 4096))
+
+
+# seeds and tolerance fixed before the first run; 4,000 trials of n = 5 keys at
+# t = 8 (load 2/3), one absent search each, on the streams the probe_cost grid gives
+@pytest.mark.parametrize("family", ["random", "random_seq"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_probe_cost_means_match_exact_enumeration(family, seed):
+    n, trials = 5, 4000
+    t = table_size_for(n, 2 / 3)
+    assert t == 8
+    exact = exact_probe_means(t, n)
+    results = [experiments._probe_cost_trial(family, n, t, seed, 3 * i, 1)
+               for i in range(trials)]
+    for observed, expected in zip(zip(*results), exact):
+        per_trial = np.array([probes.mean() for probes in observed])
+        se = per_trial.std(ddof=1) / math.sqrt(trials)
+        assert abs(per_trial.mean() - float(expected)) <= 4 * se, (per_trial.mean(), expected)
 
 
 class RecordingPool:

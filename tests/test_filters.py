@@ -193,14 +193,35 @@ P = 2**61 - 1
 
 
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("t,b", [(4, 1), (64, 8), (1 << 10, 12), (1 << 6, 50)])
+@pytest.mark.parametrize("t,b", [(4, 1), (64, 8), (1 << 10, 12), (1 << 6, 50),
+                                 (4, "widest"), (1 << 10, "widest")])
 def test_batch_placement_matches_scalar(mode, t, b):
+    if b == "widest":  # the widest the mode accepts (see `_check_width`)
+        log_t = t.bit_length() - 1
+        b = {"paired": 56 - log_t, "tabulation_paired": 64 - log_t}.get(mode, 56)
     place, place_array = _placement(t, b, mode, seed=61, stream=3)
     keys = np.concatenate([derived_rng(62, 0).integers(0, P, size=2000, dtype=np.uint64),
                            np.array([0, 1, 2**32, P - 1], dtype=np.uint64)])
     starts, sigs = place_array(keys)
     assert starts.dtype == sigs.dtype == np.uint64
-    assert list(zip(starts.tolist(), sigs.tolist())) == [place(k) for k in keys.tolist()]
+    placed = [place(k) for k in keys.tolist()]
+    assert all(type(start) is int and type(sig) is int for start, sig in placed)
+    assert list(zip(starts.tolist(), sigs.tolist())) == placed
+    assert max(starts.tolist()) < t and max(sigs.tolist()) < 1 << b
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_batch_placement_of_empty_and_zero_dimensional_batches(mode):
+    place, place_array = _placement(64, 8, mode, seed=64, stream=2)
+    for empty in (np.empty(0, dtype=np.uint64), np.empty((0, 3), dtype=np.int64)):
+        starts, sigs = place_array(empty)
+        assert type(starts) is type(sigs) is np.ndarray
+        assert starts.shape == sigs.shape == empty.shape
+        assert starts.dtype == sigs.dtype == np.uint64
+    for key in (0, 1, 2**32, P - 1):
+        start, sig = place_array(np.array(key, dtype=np.uint64))
+        assert type(start) is type(sig) is np.uint64  # numpy scalars, as each mode's last op makes
+        assert (int(start), int(sig)) == place(key)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linprobe import hashing
 from linprobe.hashing import (
@@ -374,10 +375,13 @@ class TestHashArray:
 
     def test_zero_dimensional_batch(self):
         for h in all_families(2**11, seed=4):
+            # a polynomial's final mask makes a numpy scalar; the others keep a 0-d array
+            kind = np.uint64 if isinstance(h, PolynomialHash) else np.ndarray
             for key in EDGE_KEYS:
                 got = h.hash_array(np.array(key, dtype=np.uint64))
+                assert type(got) is kind, type(h).__name__
                 assert got.shape == () and got.dtype == np.uint64, type(h).__name__
-                assert int(got) == h(key)
+                assert type(h(key)) is int and int(got) == h(key)
 
     def test_small_blocks(self, monkeypatch):
         # blocks of 3 keys: the 2-D and transposed batches end in a partial block
@@ -396,6 +400,29 @@ class TestHashArray:
         got += [a(int(k)) for k in last]
         want = [b(int(k)) for k in np.concatenate([first, batch, last])]
         assert got == want
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_narrow_tabulation_matches_scalar_and_reference(self, data):
+        char_bits = data.draw(st.integers(1, 8), label="char_bits")
+        c = data.draw(st.integers(1, 64 // char_bits), label="c")
+        output_bits = data.draw(st.integers(0, 64), label="output_bits")
+        rng = derived_rng(data.draw(st.integers(0, 2**32), label="seed"), 0)
+        tables = rng.integers(0, 1 << output_bits, size=(c, 1 << char_bits), dtype=np.uint64)
+        h = TabulationHash(tables, output_bits)
+        bound = min(P, 1 << c * char_bits)
+        keys = [0, bound - 1, *data.draw(st.lists(st.integers(0, bound - 1), max_size=40))]
+
+        def reference(x):  # the XOR of one entry per character, low character first
+            out = 0
+            for row in tables.tolist():
+                x, char = divmod(x, 1 << char_bits)
+                out ^= row[char]
+            return out
+
+        got = h.hash_array(np.array(keys, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.shape == (len(keys),)
+        assert got.tolist() == [h(k) for k in keys] == [reference(k) for k in keys]
 
     @pytest.mark.parametrize("entry", [-1, 256, 2**64])
     def test_tabulation_entry_out_of_range(self, entry):

@@ -180,6 +180,33 @@ class TestInsertSearch:
         assert (table.slots, table.n) == before
 
 
+class TestNoHashFunction:
+    """A table built with no hash function (as `SignatureFilter.table` and
+    `from_counts` are) needs `start`; without it each call says so."""
+
+    @pytest.mark.parametrize("table", [ProbeTable(8, None),
+                                       ProbeTable.from_counts(np.array([0, 2, 0, 0]))])
+    def test_insert_and_search_need_start(self, table):
+        before = (list(table.slots), table.n)
+        for call in (table.insert, table.search):
+            with pytest.raises(TypeError, match="no hash function: pass start"):
+                call(5)
+        assert (table.slots, table.n) == before
+        assert table.hash_fn is None
+
+    def test_start_given_needs_no_hash_function(self):
+        table = ProbeTable(8, None)
+        assert table.insert(5, 6) == (6, 1) and table.insert(9, 6) == (7, 2)
+        assert table.search(9, 6) == SearchResult(True, 7, 2)
+
+    def test_delete_needs_a_hash_function(self):
+        table = ProbeTable(8, None)
+        table.insert(5, 6)
+        with pytest.raises(TypeError, match="no hash function: pass start"):
+            table.delete(5)
+        assert table.slots[6] == 5 and table.n == 1
+
+
 class TestDelete:
     def test_single_key(self):
         table = build(8, {5: 2}, [5])
