@@ -46,17 +46,23 @@ class TableFullError(RuntimeError):
     pass
 
 
+def _next_empty(occupied: np.ndarray) -> np.ndarray:
+    """Each slot's cyclic distance to the first empty slot at or after it
+    (0 at an empty slot), for an occupied-slot mask with an empty slot."""
+    t = len(occupied)
+    empty = np.flatnonzero(~occupied)
+    slot = np.arange(t)
+    return np.append(empty, empty[0] + t)[np.searchsorted(empty, slot)] - slot
+
+
 def _scan_found(values: np.ndarray, occupied: np.ndarray, starts: np.ndarray,
                 items: np.ndarray) -> np.ndarray:
     """Whether the scan from each start finds its uint64 item in the table
     whose occupied slots hold `values`, as one numpy loop over scan offsets k:
     a pair still scans while k is below its start's distance to an empty slot."""
     t = len(values)
-    empty = np.flatnonzero(~occupied)
-    slot = np.arange(t)
-    to_empty = np.append(empty, empty[0] + t)[np.searchsorted(empty, slot)] - slot
     starts = np.asarray(starts, dtype=np.intp)
-    length = to_empty[starts]
+    length = _next_empty(occupied)[starts]
     found = np.zeros(len(starts), dtype=bool)
     live, k = np.flatnonzero(length), 0
     while len(live):
@@ -83,16 +89,21 @@ class ProbeTable:
         self.hash_fn = hash_fn
         self.slots: list[Optional[int]] = [None] * t
         self.n = 0
+        self._to_empty = None  # probes of an absent search from each slot, if indexed
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "ProbeTable":
-        """A table (with no hash function) whose occupied slots are those of
-        the per-slot hash histogram `counts`, each holding -1: no key in
-        [0, p) or signature equals it, so a search finds nothing and scans
-        to the empty slot that any insertion order would leave."""
+        """A read-only table (with no hash function) whose occupied slots
+        are those of the per-slot hash histogram `counts`, each holding -1:
+        no key in [0, p) or signature equals it, so a search finds nothing
+        and scans to the empty slot that any insertion order would leave.
+        Those probes are indexed per start, so only a search for -1 scans;
+        `slots` is a tuple: a write raises, so the index never goes stale."""
         table = cls(len(counts), None)
-        table.slots = np.where(occupancy(counts), -1, None).tolist()
+        occupied = occupancy(counts)
+        table.slots = tuple(np.where(occupied, -1, None).tolist())
         table.n = int(counts.sum())
+        table._to_empty = (_next_empty(occupied) + 1).tolist()
         return table
 
     def _hash(self, x: int) -> int:
@@ -135,6 +146,8 @@ class ProbeTable:
             start = self._hash(x)
         elif not 0 <= start < self.t:
             raise ValueError(f"start slot {start} outside [0, {self.t})")
+        if self._to_empty is not None and x != -1:
+            return _absent(self._to_empty[start])
         slots, mask, i = self.slots, self.t - 1, start
         while (s := slots[i]) is not None and s != x:
             i = (i + 1) & mask
@@ -263,7 +276,7 @@ def max_run_from_counts(counts: np.ndarray) -> int:
 def hash_counts(table: ProbeTable) -> np.ndarray:
     """Per-slot histogram of the stored keys' hash values; the analytics
     below take it precomputed to stay linear over many checks."""
-    hashes = np.fromiter(map(table.hash_fn, table.keys()), dtype=np.int64)
+    hashes = np.fromiter(map(table._hash, table.keys()), dtype=np.int64)
     return np.bincount(hashes, minlength=table.t)
 
 
@@ -317,7 +330,7 @@ def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
     Returns None on success or when no level applies, else a
     counterexample dict.
     """
-    hq = table.hash_fn(q)
+    hq = table._hash(q)
     r = run_containing(table, hq)
     if r < 4:
         return None

@@ -46,6 +46,9 @@ DEFAULT_PINS = {
         "d5caa2e1aea815e1c4b1819677e209f3df911e27678d732d893950a84c98ac67",
     ("three_indep", 0): "5f45e1ce70aadb0ac538a57ace6996fb7a89527479bfd0030371fda30f4f0ada",
     ("three_indep", 42): "0a69c0b481f74486f1343d9336ce6f6d6fffcee16fb3648b6d9c4d40bc8a9a32",
+    # the only full-size run of the hash_of_signature mode, which the bench leaves out
+    ("filter_fpr", 0): "09a44307c8bb9dc551e9d7f5f3e381ef5a949097c0ae12933eb9356aae5fc56e",
+    ("filter_fpr", 42): "1307d1aef5590787d8816dc51e9ec0c5443ab89b0d30317f87e2553334a980e8",
 }
 
 

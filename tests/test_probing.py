@@ -180,6 +180,13 @@ class TestInsertSearch:
         assert (table.slots, table.n) == before
 
 
+def hashless_table():
+    """`ProbeTable(8, None)` holding key 5 at slot 6."""
+    table = ProbeTable(8, None)
+    table.insert(5, 6)
+    return table
+
+
 class TestNoHashFunction:
     """A table built with no hash function (as `SignatureFilter.table` and
     `from_counts` are) needs `start`; without it each call says so."""
@@ -191,8 +198,16 @@ class TestNoHashFunction:
         for call in (table.insert, table.search):
             with pytest.raises(TypeError, match="no hash function: pass start"):
                 call(5)
-        assert (table.slots, table.n) == before
+        assert (list(table.slots), table.n) == before
         assert table.hash_fn is None
+
+    @pytest.mark.parametrize("table", [hashless_table(),
+                                       ProbeTable.from_counts(np.array([0, 2, 0, 0]))])
+    def test_analytics_need_a_hash_function(self, table):
+        with pytest.raises(TypeError, match="no hash function: pass start"):
+            hash_counts(table)
+        with pytest.raises(TypeError, match="no hash function: pass start"):
+            check_query_run_lemma(table, 5, np.zeros(table.t, dtype=np.int64))
 
     def test_start_given_needs_no_hash_function(self):
         table = ProbeTable(8, None)
@@ -601,6 +616,46 @@ def test_from_counts_scans_as_fcfs_builds(case):
         assert table.search(None, s).probes == fcfs.search(None, s).probes
     for x, start in zip(keys, starts):
         assert not table.search(x, start).found
+
+
+@given(slot_lists(), st.lists(st.integers(0, 2**61 - 2), min_size=1, max_size=4))
+@example((8, [6] * 7), [0])  # full but one, all in one slot, wrapping
+@example((16, [15, 15, 15, 0, 4]), [2**61 - 2])  # a run wrapping past slot t - 1
+@example((4, []), [7])  # n = 0
+@settings(max_examples=200, deadline=None)
+def test_indexed_search_matches_scan(case, keys):
+    """From every slot, a `from_counts` table's indexed search answers as
+    the scan of a plain table holding the same slots with no index does:
+    absent for None and for keys, and a search for -1 finds the -1 it
+    reaches, at the same position and probes."""
+    t, slots = case
+    table = ProbeTable.from_counts(np.bincount(np.array(slots, dtype=np.int64), minlength=t))
+    plain = ProbeTable(t, None)
+    plain.slots = list(table.slots)
+    assert table._to_empty is not None and plain._to_empty is None
+    for s in range(t):
+        absent = (False, None, plain_scan(plain.slots, s, None)[2])
+        for x in (None, *keys):
+            assert table.search(x, s) == plain.search(x, s) == absent
+        found, i, probes = plain_scan(plain.slots, s, -1)
+        assert found == (plain.slots[s] is not None)
+        assert table.search(-1, s) == plain.search(-1, s) == (found, i if found else None, probes)
+
+
+@pytest.mark.parametrize("write", [
+    lambda table: table.insert(5, 1),  # scans the -1s at slots 1, 2 to the empty slot 3
+    lambda table: table.insert(5, 0),
+    lambda table: table.delete(-1),  # no hash function
+    lambda table: setattr(table, "hash_fn", lambda x: 1) or table.delete(-1),  # shifts slot 2 back
+], ids=["insert past a run", "insert at an empty start", "delete", "delete with a hash"])
+def test_from_counts_table_is_read_only(write):
+    table = ProbeTable.from_counts(np.array([0, 2, 0, 0]))
+    before = (table.slots, table.n, table.search(None, 1))
+    with pytest.raises(TypeError):
+        write(table)
+    assert (table.slots, table.n, table.search(None, 1)) == before == ((None, -1, -1, None), 2,
+                                                                       (False, None, 3))
+    assert table.insert(-1, 2) == (2, 1)  # finds the -1 there: nothing to write
 
 
 @pytest.mark.parametrize("counts,message", [
