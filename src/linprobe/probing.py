@@ -89,7 +89,7 @@ class ProbeTable:
         self.hash_fn = hash_fn
         self.slots: list[Optional[int]] = [None] * t
         self.n = 0
-        self._to_empty = None  # probes of an absent search from each slot, if indexed
+        self._results = None  # each slot's absent-search result, if indexed
 
     @classmethod
     def from_counts(cls, counts: np.ndarray) -> "ProbeTable":
@@ -97,13 +97,14 @@ class ProbeTable:
         are those of the per-slot hash histogram `counts`, each holding -1:
         no key in [0, p) or signature equals it, so a search finds nothing
         and scans to the empty slot that any insertion order would leave.
-        Those probes are indexed per start, so only a search for -1 scans;
+        Each start's absent result is indexed, so only a search for -1 scans;
         `slots` is a tuple: a write raises, so the index never goes stale."""
         table = cls(len(counts), None)
         occupied = occupancy(counts)
         table.slots = tuple(np.where(occupied, -1, None).tolist())
         table.n = int(counts.sum())
-        table._to_empty = (_next_empty(occupied) + 1).tolist()
+        gap = _next_empty(occupied)  # each start's probes, less one
+        table._results = np.fromiter(map(_absent, range(1, gap.max() + 2)), object)[gap].tolist()
         return table
 
     def _hash(self, x: int) -> int:
@@ -146,8 +147,8 @@ class ProbeTable:
             start = self._hash(x)
         elif not 0 <= start < self.t:
             raise ValueError(f"start slot {start} outside [0, {self.t})")
-        if self._to_empty is not None and x != -1:
-            return _absent(self._to_empty[start])
+        if self._results is not None and x != -1:
+            return self._results[start]
         slots, mask, i = self.slots, self.t - 1, start
         while (s := slots[i]) is not None and s != x:
             i = (i + 1) & mask

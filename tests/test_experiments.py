@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import itertools
 import json
 import math
@@ -290,12 +291,15 @@ def test_probe_cost_trial_matches_carry_model(family, n, t):
     assert srch.tolist() == [1 + to_empty[s] for s in starts[n:]]
 
 
-def exact_probe_means(t, n):
-    """E[mean insert probes] and E[mean absent-search probes] when n keys
-    are inserted at uniform independent starts into a table of t slots:
-    every one of the t^n start tuples is built in plain loops, and every
-    absent search starts at each of the t slots alike."""
-    insert_total = absent_total = 0
+@functools.cache
+def exact_toy_values(t, n):
+    """Exact expectations when n keys are inserted at uniform independent
+    starts into a table of t slots: every one of the t^n start tuples is
+    built in plain loops, and every absent search starts at each of the t
+    slots alike.  Keys: the insert and absent-search probe means, the max
+    run, and per level l = 1, 2 the chance that an aligned interval of 2^l
+    slots receives at least 3/4 of its length in hashes (near-full)."""
+    totals = dict.fromkeys(["insert", "absent", "max_run", "near_full_1", "near_full_2"], 0)
     for starts in itertools.product(range(t), repeat=n):
         full = [False] * t
         for start in starts:
@@ -303,17 +307,43 @@ def exact_probe_means(t, n):
             while full[slot]:
                 slot = (slot + 1) % t
             full[slot] = True
-            insert_total += (slot - start) % t + 1
+            totals["insert"] += (slot - start) % t + 1
         for start in range(t):
             slot = start
             while full[slot]:
                 slot = (slot + 1) % t
-            absent_total += (slot - start) % t + 1
-    return Fraction(insert_total, t**n * n), Fraction(absent_total, t**n * t)
+            totals["absent"] += (slot - start) % t + 1
+        run = longest = 0
+        for slot in range(2 * t):  # twice round, so a run through slot 0 is seen whole
+            run = run + 1 if full[slot % t] else 0
+            longest = max(longest, run)
+        totals["max_run"] += longest
+        for level in (1, 2):
+            width = 1 << level
+            for first in range(0, t, width):
+                hits = sum(first <= start < first + width for start in starts)
+                totals[f"near_full_{level}"] += 4 * hits >= 3 * width
+    per = {"insert": t**n * n, "absent": t**n * t, "max_run": t**n,
+           "near_full_1": t**n * (t // 2), "near_full_2": t**n * (t // 4)}
+    return {key: Fraction(total, per[key]) for key, total in totals.items()}
 
 
 def test_exact_probe_means_at_toy_size():
-    assert exact_probe_means(8, 5) == (Fraction(1403, 1024), Fraction(9881, 4096))
+    exact = exact_toy_values(8, 5)
+    assert (exact["insert"], exact["absent"]) == (Fraction(1403, 1024), Fraction(9881, 4096))
+
+
+def test_exact_max_run_and_near_full_at_toy_size():
+    exact = exact_toy_values(8, 5)
+    # an interval's hash count is Bin(5, 2^l / 8): P[Bin(5, 1/4) >= 2], P[Bin(5, 1/2) >= 3]
+    assert (exact["near_full_1"], exact["near_full_2"]) == (Fraction(47, 128), Fraction(1, 2))
+    assert exact["max_run"] == Fraction(3965, 1024)
+
+
+def within_four_se(per_trial, expected):
+    per_trial = np.asarray(per_trial, dtype=float)
+    se = per_trial.std(ddof=1) / math.sqrt(len(per_trial))
+    assert abs(per_trial.mean() - float(expected)) <= 4 * se, (per_trial.mean(), expected)
 
 
 # seeds and tolerance fixed before the first run; 4,000 trials of n = 5 keys at
@@ -324,13 +354,27 @@ def test_probe_cost_means_match_exact_enumeration(family, seed):
     n, trials = 5, 4000
     t = table_size_for(n, 2 / 3)
     assert t == 8
-    exact = exact_probe_means(t, n)
+    exact = exact_toy_values(t, n)
     results = [experiments._probe_cost_trial(family, n, t, seed, 3 * i, 1)
                for i in range(trials)]
-    for observed, expected in zip(zip(*results), exact):
-        per_trial = np.array([probes.mean() for probes in observed])
-        se = per_trial.std(ddof=1) / math.sqrt(trials)
-        assert abs(per_trial.mean() - float(expected)) <= 4 * se, (per_trial.mean(), expected)
+    for observed, key in zip(zip(*results), ("insert", "absent")):
+        within_four_se([probes.mean() for probes in observed], exact[key])
+
+
+# seeds and tolerance fixed before the first run; 4,000 trials of n = 5 random
+# keys at t = 8, on the streams the max_run and interval_concentration grids give.
+# At level 2 exactly one half of the table holds >= 3 of the 5 hashes, so every
+# trial reads 1/2, the SE is 0 and the check is exact
+@pytest.mark.parametrize("seed", [1, 2])
+def test_max_run_and_near_full_match_exact_enumeration(seed):
+    n, t, trials = 5, 8, 4000
+    exact = exact_toy_values(t, n)
+    within_four_se([experiments._max_run_trial("random", n, t, seed, 2 * i)
+                    for i in range(trials)], exact["max_run"])
+    hits = [experiments._interval_trial("random", n, t, seed, 2 * i, (1, 2))
+            for i in range(trials)]
+    for level, per_trial in zip((1, 2), zip(*hits)):
+        within_four_se(np.array(per_trial) / (t >> level), exact[f"near_full_{level}"])
 
 
 class RecordingPool:

@@ -627,14 +627,16 @@ def test_indexed_search_matches_scan(case, keys):
     """From every slot, a `from_counts` table's indexed search answers as
     the scan of a plain table holding the same slots with no index does:
     absent for None and for keys, and a search for -1 finds the -1 it
-    reaches, at the same position and probes."""
+    reaches, at the same position and probes.  An absent result is the very
+    object the scan shares, so probe sums and memory match too."""
     t, slots = case
     table = ProbeTable.from_counts(np.bincount(np.array(slots, dtype=np.int64), minlength=t))
     plain = ProbeTable(t, None)
     plain.slots = list(table.slots)
-    assert table._to_empty is not None and plain._to_empty is None
+    assert table._results is not None and plain._results is None
     for s in range(t):
         absent = (False, None, plain_scan(plain.slots, s, None)[2])
+        assert table.search(None, s) is plain.search(None, s)
         for x in (None, *keys):
             assert table.search(x, s) == plain.search(x, s) == absent
         found, i, probes = plain_scan(plain.slots, s, -1)
