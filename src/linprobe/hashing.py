@@ -216,10 +216,14 @@ class TabulationHash:
     def __post_init__(self):
         if _integer("output_bits", self.output_bits, 0) > 64:
             raise ValueError("output width exceeds 64 bits")
-        try:
-            tables = np.array(self.tables, dtype=np.uint64)
-        except OverflowError:  # an entry below 0 or at least 2^64
-            raise ValueError("table entry out of output range") from None
+        tables = self.tables  # kept uncopied only if no caller can write it
+        if not (type(tables) is np.ndarray and tables.dtype == np.uint64
+                and tables.flags.owndata and tables.flags.c_contiguous
+                and not tables.flags.writeable):
+            try:
+                tables = np.array(tables, dtype=np.uint64)
+            except OverflowError:  # an entry below 0 or at least 2^64
+                raise ValueError("table entry out of output range") from None
         c, size = tables.shape if tables.ndim == 2 else (0, 0)
         char_bits = size.bit_length() - 1
         if c < 1 or size < 2 or size != 1 << char_bits or c * char_bits > 64:
@@ -270,10 +274,11 @@ def new_tabulation(
         raise ValueError("key width exceeds 64 bits")
     if _integer("output_bits", output_bits, 0) > 64:
         raise ValueError("output width exceeds 64 bits")
-    rng = derived_rng(seed, stream)
-    size = 1 << char_bits
-    tables = np.stack([rng.integers(0, 1 << output_bits, size=size, dtype=np.uint64)
-                       for _ in range(c)])
+    # one draw gives the stream of c row draws: a power-of-two range rejects
+    # nothing, so each row takes whole 64-bit words; read-only, it is not copied
+    tables = derived_rng(seed, stream).integers(
+        0, 1 << output_bits, size=(c, 1 << char_bits), dtype=np.uint64)
+    tables.flags.writeable = False
     return TabulationHash(tables, output_bits)
 
 
@@ -360,15 +365,9 @@ def verify_independence_exact(p: int, k: int, tuple_size: int):
     if _integer("tuple_size", tuple_size, 1) > p:
         raise ValueError(f"tuple_size must be at most p = {p}, got {tuple_size}")
 
-    tables = []
-    for coeffs in itertools.product(range(p), repeat=k):
-        values = []
-        for x in range(p):
-            acc = 0
-            for a in reversed(coeffs):
-                acc = (acc * x + a) % p
-            values.append(acc)
-        tables.append(tuple(values))
+    powers = [[x**i for i in range(k)] for x in range(p)]  # key x's row: x^0 .. x^(k-1)
+    tables = [tuple(sum(map(operator.mul, coeffs, row)) % p for row in powers)
+              for coeffs in itertools.product(range(p), repeat=k)]
 
     expected = p ** (k - tuple_size) if k >= tuple_size else p ** k / p**tuple_size
     for keys in itertools.combinations(range(p), tuple_size):

@@ -49,10 +49,9 @@ class TableFullError(RuntimeError):
 def _next_empty(occupied: np.ndarray) -> np.ndarray:
     """Each slot's cyclic distance to the first empty slot at or after it
     (0 at an empty slot), for an occupied-slot mask with an empty slot."""
-    t = len(occupied)
-    empty = np.flatnonzero(~occupied)
-    slot = np.arange(t)
-    return np.append(empty, empty[0] + t)[np.searchsorted(empty, slot)] - slot
+    t, slot = len(occupied), np.arange(len(occupied))
+    nxt = np.minimum.accumulate(np.where(occupied, 2 * t, slot)[::-1])[::-1]  # 2t: none after
+    return np.minimum(nxt, nxt[0] + t) - slot  # past the last empty slot, wrap to the first
 
 
 def _scan_found(values: np.ndarray, occupied: np.ndarray, starts: np.ndarray,

@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,42 @@ class TestTabulation:
             new_tabulation(5, 16, 32, seed=0)
         with pytest.raises(ValueError):
             new_tabulation(2, 8, 65, seed=0)
+
+    @pytest.mark.parametrize("char_bits", [1, 2, 16])
+    @pytest.mark.parametrize("output_bits", [0, 1, 31, 32, 33, 63, 64])
+    def test_one_draw_is_the_stream_of_row_draws(self, char_bits, output_bits):
+        # each row of the one (c, 2^char_bits) draw takes whole 64-bit words,
+        # so the tables are those of c draws of a row from the same stream
+        for c in (1, 3):
+            rng = derived_rng(11, 4)
+            rows = [rng.integers(0, 1 << output_bits, size=1 << char_bits, dtype=np.uint64)
+                    for _ in range(c)]
+            h = new_tabulation(c, char_bits, output_bits, 11, stream=4)
+            assert np.array_equal(h.tables, np.stack(rows))
+
+    def test_no_caller_writes_a_drawn_hash(self):
+        mine = np.arange(32, dtype=np.uint64).reshape(2, 16)
+        base = mine.copy()
+        view = base[:]
+        view.flags.writeable = False
+        for tables, write in ((mine, mine), (view, base), (mine.tolist(), mine)):
+            h = TabulationHash(tables, 8)
+            before = h.hash_array(np.arange(256)).tolist()
+            write += 1
+            assert h.hash_array(np.arange(256)).tolist() == before
+            assert not h.tables.flags.writeable
+
+    def test_read_only_owned_tables_are_not_copied(self):
+        h = new_tabulation(4, 16, 17, 0)
+        assert not h.tables.flags.writeable
+        assert TabulationHash(h.tables, 17).tables is h.tables
+        tracemalloc.start()
+        try:
+            new_tabulation(4, 16, 17, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 2**20  # the 2 MiB of tables, drawn once and kept
 
     def test_uniformity_of_fixed_key_over_draws(self):
         # c=2, char_bits=2, output_bits=2: each output value of a fixed key

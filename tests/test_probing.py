@@ -22,8 +22,10 @@ from linprobe.probing import (
     runs,
     table_size_for,
     verify_fill_invariant,
+    _next_empty,
     _scan_found,
 )
+from probe_model import carry_model
 
 
 class FixedHash:
@@ -579,6 +581,24 @@ def test_occupancy_matches_built_table(case):
         width = 1 << level
         oracle = [int(counts[i : i + width].sum()) for i in range(0, t, width)]
         assert interval_counts(counts, level).tolist() == oracle
+
+
+def one_empty_slot(t, empty):
+    """(t, slots) with one key on every slot but `empty`, which stays empty."""
+    return t, [s for s in range(t) if s != empty]
+
+
+@given(slot_lists())
+@example(one_empty_slot(16, 0))  # every other slot wraps to slot 0
+@example(one_empty_slot(16, 15))  # at t - 1: no slot wraps
+@example(one_empty_slot(16, 7))
+@example((16, []))  # an empty table
+@example((1, []))
+@settings(max_examples=200, deadline=None)
+def test_next_empty_matches_carry_model(case):
+    t, slots = case
+    counts = np.bincount(np.array(slots, dtype=np.int64), minlength=t)
+    assert _next_empty(occupancy(counts)).tolist() == carry_model(counts)[1]
 
 
 @st.composite
