@@ -5,7 +5,6 @@
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -290,25 +289,25 @@ def interval_counts(counts: np.ndarray, level: int) -> np.ndarray:
     return counts.reshape(-1, 1 << level).sum(axis=1)
 
 
-def _intervals(counts: np.ndarray, level: int, first: int, count: int):
+def _intervals(counts: np.ndarray, level: int, slot: int, count: int):
     """Indices and hash counts of `count` consecutive aligned 2^level-slot
-    intervals from interval `first` on, read cyclically modulo
+    intervals from the one holding `slot` on, read cyclically modulo
     m = t >> level; each interval appears at most once, so at most m."""
-    rows = counts.reshape(-1, 1 << level)
-    idx = np.arange(first, first + min(count, len(rows))) % len(rows)
-    return idx, rows[idx].sum(axis=1)
+    sums = interval_counts(counts, level)
+    idx = (np.arange(min(count, len(sums))) + (slot >> level)) % len(sums)
+    return idx, sums[idx]
 
 
 def check_run_lemma(run: Run, level: int, counts: np.ndarray):
     """For a run of length >= 2^(level+2) in the table whose per-slot hash
     histogram is `counts`, verify that one of the first four level-intervals
-    intersecting it (cyclically) is near-full.
-
-    Returns None on success, or a counterexample dict.
+    intersecting it (cyclically) is near-full: None on success, else a
+    counterexample dict.  `counts` and `level` are refused as by
+    `interval_counts`, before the run's length is checked.
     """
+    idx, observed = _intervals(counts, level, run.start, 4)
     if run.length < 1 << (level + 2):
         raise ValueError(f"run length {run.length} < 2^{level + 2}")
-    idx, observed = _intervals(counts, level, run.start >> level, 4)
     threshold = near_full_threshold(level)
     if observed.max() >= threshold:
         return None
@@ -325,18 +324,19 @@ def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
     """For a query key q whose run has length r >= 4, with level l chosen
     so r is in [2^(l+2), 2^(l+3)), verify that one of the 12 l-intervals
     around the one containing h(q) (8 left, own, 3 right, cyclically) is
-    near-full, not counting q itself.
-
-    Returns None on success or when no level applies, else a
-    counterexample dict.
+    near-full, not counting q itself: None on success or when no level
+    applies, else a counterexample dict.  `counts` is refused first, by the
+    `counts` rule and for a length other than the table's t.
     """
+    if len(_histogram(counts)) != table.t:
+        raise ValueError(f"counts must have the table's length {table.t}, got {len(counts)}")
     hq = table._hash(q)
     r = run_containing(table, hq)
     if r < 4:
         return None
     level = r.bit_length() - 3  # largest l with 2^(l+2) <= r
     assert 1 << (level + 2) <= r < 1 << (level + 3)
-    idx, window = _intervals(counts, level, (hq >> level) - 8, 12)
+    idx, window = _intervals(counts, level, hq - (8 << level), 12)
     window[8 % len(idx)] -= table.search(q).found  # q's own hash is not counted
     threshold = near_full_threshold(level)
     if window.max() >= threshold:
@@ -351,12 +351,10 @@ def check_query_run_lemma(table: ProbeTable, q: int, counts: np.ndarray):
 
 
 def table_size_for(n: int, max_load: float = 2 / 3) -> int:
-    """Smallest power of two t with n/t <= max_load, for a max_load in (0, 1)."""
+    """Smallest power of two t >= 2 with n/t <= max_load, for a max_load in (0, 1)."""
     n = _integer("n", n, 0)
     _real("max_load", max_load, lambda v: 0 < v < 1, "a number in (0, 1)")
-    if n < 1:
-        return 2
-    t = 1 << math.ceil(math.log2(n / max_load))
+    t = 2
     while n / t > max_load:
         t *= 2
     return t

@@ -36,6 +36,9 @@ from linprobe.moments import (
 )
 from linprobe.probing import (
     ProbeTable,
+    Run,
+    check_query_run_lemma,
+    check_run_lemma,
     interval_counts,
     max_run_from_counts,
     occupancy,
@@ -76,6 +79,9 @@ CASES = {
                                    lambda v: sample_distinct_keys(None, 3, v)),
     "interval_counts": ("level", range(0, 5),
                         lambda v: interval_counts(np.zeros(16, dtype=np.int64), v)),
+    # a run of 1 is too short at every level: the level is refused first
+    "check_run_lemma": ("level", range(0, 5),
+                        lambda v: check_run_lemma(Run(0, 1), v, np.zeros(16, dtype=np.int64))),
     "BernoulliProfile.uniform": ("n", 0, lambda v: BernoulliProfile.uniform(v, 0.5)),
     "table_size_for": ("n", 0, lambda v: table_size_for(v)),
     "brute_force_moment": ("k", 0, lambda v: brute_force_moment(SMALL, v)),
@@ -151,7 +157,11 @@ def test_numpy_floats_accepted():
 
 HISTOGRAM_CALLS = {"occupancy": occupancy, "max_run_from_counts": max_run_from_counts,
                    "interval_counts": lambda counts: interval_counts(counts, 1),
-                   "ProbeTable.from_counts": ProbeTable.from_counts}
+                   "ProbeTable.from_counts": ProbeTable.from_counts,
+                   "check_run_lemma": lambda counts: check_run_lemma(Run(0, 4), 0, counts),
+                   # an empty table: the query's run is shorter than 4
+                   "check_query_run_lemma": lambda counts: check_query_run_lemma(
+                       ProbeTable(4, TrulyRandomHash(4, 0)), 5, counts)}
 # (histogram, error): a non-array, a non-integer dtype, a shape other than
 # 1-D, a length that is no power of two and a negative entry
 HISTOGRAMS = [
@@ -170,6 +180,12 @@ HISTOGRAMS = [
 def test_histogram_refused_by_name(case, counts, error):
     with pytest.raises(error, match="^counts "):
         HISTOGRAM_CALLS[case](counts)
+
+
+def test_query_checker_refuses_another_tables_histogram():
+    table = ProbeTable(64, TrulyRandomHash(64, 0))
+    with pytest.raises(ValueError, match="^counts "):
+        check_query_run_lemma(table, 5, np.zeros(128, dtype=np.int64))
 
 
 def test_numpy_integers_accepted():

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import functools
 import itertools
@@ -297,9 +298,11 @@ def exact_toy_values(t, n):
     starts into a table of t slots: every one of the t^n start tuples is
     built in plain loops, and every absent search starts at each of the t
     slots alike.  Keys: the insert and absent-search probe means, the max
-    run, and per level l = 1, 2 the chance that an aligned interval of 2^l
-    slots receives at least 3/4 of its length in hashes (near-full)."""
+    run and its distribution ("max_run_dist", P[max run = v] per value v
+    that occurs), and per level l = 1, 2 the chance that an aligned interval
+    of 2^l slots receives at least 3/4 of its length in hashes (near-full)."""
     totals = dict.fromkeys(["insert", "absent", "max_run", "near_full_1", "near_full_2"], 0)
+    max_runs = collections.Counter()
     for starts in itertools.product(range(t), repeat=n):
         full = [False] * t
         for start in starts:
@@ -318,6 +321,7 @@ def exact_toy_values(t, n):
             run = run + 1 if full[slot % t] else 0
             longest = max(longest, run)
         totals["max_run"] += longest
+        max_runs[longest] += 1
         for level in (1, 2):
             width = 1 << level
             for first in range(0, t, width):
@@ -325,7 +329,8 @@ def exact_toy_values(t, n):
                 totals[f"near_full_{level}"] += 4 * hits >= 3 * width
     per = {"insert": t**n * n, "absent": t**n * t, "max_run": t**n,
            "near_full_1": t**n * (t // 2), "near_full_2": t**n * (t // 4)}
-    return {key: Fraction(total, per[key]) for key, total in totals.items()}
+    return {**{key: Fraction(total, per[key]) for key, total in totals.items()},
+            "max_run_dist": {v: Fraction(c, t**n) for v, c in sorted(max_runs.items())}}
 
 
 def test_exact_probe_means_at_toy_size():
@@ -338,6 +343,9 @@ def test_exact_max_run_and_near_full_at_toy_size():
     # an interval's hash count is Bin(5, 2^l / 8): P[Bin(5, 1/4) >= 2], P[Bin(5, 1/2) >= 3]
     assert (exact["near_full_1"], exact["near_full_2"]) == (Fraction(47, 128), Fraction(1, 2))
     assert exact["max_run"] == Fraction(3965, 1024)
+    dist = exact["max_run_dist"]
+    assert sum(dist.values()) == 1
+    assert sum(v * p for v, p in dist.items()) == Fraction(3965, 1024)
 
 
 def within_four_se(per_trial, expected):
@@ -363,14 +371,20 @@ def test_probe_cost_means_match_exact_enumeration(family, seed):
 
 # seeds and tolerance fixed before the first run; 4,000 trials of n = 5 random
 # keys at t = 8, on the streams the max_run and interval_concentration grids give.
-# At level 2 exactly one half of the table holds >= 3 of the 5 hashes, so every
-# trial reads 1/2, the SE is 0 and the check is exact
+# Each max-run value's count lies within 4 binomial SDs of N p_v, and a value the
+# enumeration never gives is never drawn.  At level 2 exactly one half of the table
+# holds >= 3 of the 5 hashes, so every trial reads 1/2, the SE is 0 and the check
+# is exact
 @pytest.mark.parametrize("seed", [1, 2])
 def test_max_run_and_near_full_match_exact_enumeration(seed):
     n, t, trials = 5, 8, 4000
     exact = exact_toy_values(t, n)
-    within_four_se([experiments._max_run_trial("random", n, t, seed, 2 * i)
-                    for i in range(trials)], exact["max_run"])
+    max_runs = [experiments._max_run_trial("random", n, t, seed, 2 * i) for i in range(trials)]
+    within_four_se(max_runs, exact["max_run"])
+    drawn, dist = collections.Counter(max_runs), exact["max_run_dist"]
+    for v in drawn.keys() | dist.keys():
+        p = float(dist.get(v, 0))
+        assert abs(drawn[v] - trials * p) <= 4 * math.sqrt(trials * p * (1 - p)), (v, drawn, dist)
     hits = [experiments._interval_trial("random", n, t, seed, 2 * i, (1, 2))
             for i in range(trials)]
     for level, per_trial in zip((1, 2), zip(*hits)):
@@ -518,6 +532,13 @@ class TestCli:
         out = capsys.readouterr().out
         for name in EXPERIMENTS:
             assert name in out
+
+    def test_module_lists(self):
+        src = str(Path(linprobe.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "linprobe.cli", "--list"], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0 and proc.stdout.split() == sorted(EXPERIMENTS)
 
     def test_missing_experiment_is_usage_error(self, capsys):
         assert cli_main([]) == 2

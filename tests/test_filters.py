@@ -418,6 +418,14 @@ class TestSubsequenceScan:
         mask = [k in ("a", "b", "d", "c") for k in keys]
         assert subsequence_scan_check(keys, mask, h, 16, 2) is None
 
+    def test_witness_returned(self):
+        # a hash whose value changes between the builds: key 1 lands in slot
+        # 0 of the full table and slot 1 of the subsequence table, so the
+        # scan from slot 1 meets it in the subsequence table only
+        slots = iter([0, 1])
+        witness = subsequence_scan_check([1], [True], lambda x: next(slots), 8, 1)
+        assert witness == {"full_scan": [], "sub_scan": [1], "missing": 1}
+
     def test_mask_length_checked(self):
         with pytest.raises(ValueError):
             subsequence_scan_check([1, 2], [True], FixedHash(8), 8, 0)

@@ -44,6 +44,10 @@ class TestNewPolynomial:
         with pytest.raises(ValueError, match="residues"):
             PolynomialHash(coeffs, 4)
 
+    def test_rejects_no_coefficients(self):
+        with pytest.raises(ValueError, match="^need at least one coefficient$"):
+            PolynomialHash((), 4)
+
     def test_coefficients_are_python_ints(self):
         # numpy coefficients are stored as the Python ints they stand for, so
         # the scalar Horner loop cannot wrap modulo 2^64
@@ -194,6 +198,8 @@ class TestTabulation:
             new_tabulation(5, 16, 32, seed=0)
         with pytest.raises(ValueError):
             new_tabulation(2, 8, 65, seed=0)
+        with pytest.raises(ValueError, match="^output width exceeds 64 bits$"):
+            TabulationHash(np.zeros((2, 16), dtype=np.uint64), 65)
 
     @pytest.mark.parametrize("char_bits", [1, 2, 16])
     @pytest.mark.parametrize("output_bits", [0, 1, 31, 32, 33, 63, 64])
@@ -318,6 +324,10 @@ class TestIndependenceExact:
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError, match="k must be"):
             verify_independence_exact(5, 0, 1)
+
+    def test_rejects_tuple_larger_than_p(self):
+        with pytest.raises(ValueError, match="^tuple_size must be at most p = 3, got 4$"):
+            verify_independence_exact(3, 1, 4)
 
 
 def test_mod_t_near_uniformity_small_prime():

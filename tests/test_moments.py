@@ -304,6 +304,11 @@ class TestTailCheck:
         with pytest.raises(ValueError):
             tail_check(BernoulliProfile((0.25,)), d=2.0)
 
+    def test_sampling_needs_a_seed(self):
+        # one variable past ENUM_LIMIT, so the tail is sampled
+        with pytest.raises(ValueError, match="^sampling a large profile requires a seed$"):
+            tail_check(BernoulliProfile.uniform(moments.ENUM_LIMIT + 1, 0.5), d=2.0)
+
     @pytest.mark.parametrize("d", [0.0, -2.0, float("nan"), True, math.inf])
     def test_rejects_non_positive_d(self, d):
         with pytest.raises(ValueError):

@@ -306,6 +306,8 @@ class TestRuns:
         table.n = 4
         with pytest.raises(TableFullError):
             runs(table)
+        with pytest.raises(TableFullError):
+            run_containing(table, 0)
 
     def test_lengths_sum_to_n_and_gaps_nonempty(self):
         table, _ = random_table(256, 0.6, seed=19)
@@ -354,6 +356,20 @@ class TestRunLemma:
         table = build(16, {i: 2 for i in [1, 2, 3]}, [1, 2, 3])
         with pytest.raises(ValueError):
             check_run_lemma(runs(table)[0], 1, hash_counts(table))
+
+    def test_counterexample(self):
+        # a valid histogram that contradicts a run of 8 from slot 12 at
+        # level 1: its four intervals, wrapping past slot 15, hold 1, 1, 1
+        # and 0 hashes, below the threshold of 2
+        counts = np.zeros(16, dtype=np.int64)
+        counts[[12, 15, 1]] = 1
+        assert check_run_lemma(Run(12, 8), 1, counts) == {
+            "run": Run(12, 8),
+            "level": 1,
+            "intervals": [6, 7, 0, 1],
+            "counts": [1, 1, 1, 0],
+            "threshold": 2,
+        }
 
     def test_monte_carlo_no_counterexamples(self):
         for seed in range(30):
@@ -765,3 +781,9 @@ def test_table_size_for():
     assert table_size_for(682) == 1024
     assert 682 / 1024 <= 2 / 3 < 683 / 1024
     assert table_size_for(1) == 2
+    # the rule itself: the least power of two t >= 2 with n/t <= max_load
+    for max_load in (0.1, 1 / 3, 0.5, 0.6, 2 / 3, 0.75, 0.9, 0.99):
+        for n in range(4097):
+            t = table_size_for(n, max_load)
+            assert t >= 2 and t & (t - 1) == 0 and n / t <= max_load
+            assert t == 2 or n / (t // 2) > max_load

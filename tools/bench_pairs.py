@@ -14,14 +14,16 @@ one process to count the minor page faults (`ru_minflt`) and the system
 time of a pass.  The last line of standard output is one JSON object: per
 end-to-end metric, each side's median, quartiles (inclusive method), min
 and max, the parent's interquartile range, the pairs the change wins (ties
-count for neither side) and the change of the median as a fraction of the
-parent's.
+count for neither side), the exact two-sided sign-test p-value of those
+wins among the pairs that are not ties, and the change of the median as a
+fraction of the parent's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -88,6 +90,13 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
+def sign_test_p(wins: int, decided: int) -> float:
+    """Exact two-sided binomial (sign-test) p-value of `wins` among
+    `decided` pairs under even odds: 10 of 10 gives 2/1024; 1.0 if none."""
+    tail = sum(math.comb(decided, i) for i in range(min(wins, decided - wins) + 1))
+    return min(1.0, 2 * tail / 2**decided)
+
+
 def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     """Per metric named in `better` ("lower" or "higher"), each side's spread
     over its runs and the change's wins over the pairs, run i of each side
@@ -106,6 +115,7 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
         summary[name] = {
             "better": direction, "parent": p, "change": c, "parent_iqr": p["q3"] - p["q1"],
             "change_wins": wins, "ties": ties, "pairs": len(pairs),
+            "sign_test_p": sign_test_p(wins, len(pairs) - ties),
             "median_change_frac": c["median"] / p["median"] - 1 if p["median"] else None,
         }
     return summary
