@@ -18,7 +18,11 @@ __all__ = ["BernoulliProfile", "TailReport", "brute_force_moment", "exact_fourth
     "kth_moment_bound_terms", "sum_distribution", "tail_check"]
 
 ENUM_LIMIT = 20  # bounds time: enumeration memory does not grow with n
-_BLOCK_BITS = 14  # outcomes are enumerated 2^14 at a time
+# outcomes are enumerated 2^13 at a time: a block's float64 arrays are 64 KiB,
+# under glibc's 128 KiB mmap threshold, so no block maps (and faults in) fresh pages
+_BLOCK_BITS = 13
+_POPCOUNT = np.unpackbits(  # each outcome's successes (numpy 1 has no np.bitwise_count)
+    np.arange(1 << _BLOCK_BITS, dtype=np.uint16).view(np.uint8)).reshape(-1, 16).sum(1, np.uint8)
 _CHUNK_VARIABLES = 1 << 16  # Monte Carlo draws at most this many variables at a time
 
 
@@ -29,8 +33,10 @@ class BernoulliProfile:
     probabilities: tuple[float, ...]
 
     def __post_init__(self):
-        if any(not 0.0 <= p <= 1.0 for p in self.probabilities):
-            raise ValueError("probabilities must lie in [0, 1]")
+        ps = tuple(self.probabilities)
+        for p in ps:
+            _real("probabilities", p, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+        object.__setattr__(self, "probabilities", tuple(map(float, ps)))
 
     @property
     def n(self) -> int:
@@ -71,10 +77,9 @@ def _outcome_blocks(profile: BernoulliProfile):
         raise ValueError(f"n = {profile.n} exceeds enumeration limit {ENUM_LIMIT}")
     low, high = profile.probabilities[:_BLOCK_BITS], profile.probabilities[_BLOCK_BITS:]
     base = np.array([1.0])
-    succ = np.zeros(1, dtype=np.uint8)
     for p in low:
-        base = np.concatenate([base * (1 - p), base * p])
-        succ = np.concatenate([succ, succ + 1])
+        base = np.multiply.outer((1 - p, p), base).ravel()
+    succ = _POPCOUNT[:len(base)]
     for h in range(1 << len(high)):
         probs = base
         for j, p in enumerate(high):
@@ -217,12 +222,11 @@ def tail_check(
             raise ValueError("sampling a large profile requires a seed")
         rng = derived_rng(seed, 0)
         ps = np.array(profile.probabilities)
-        hits = 0
+        hits = done = 0
         chunk = max(1, _CHUNK_VARIABLES // profile.n)
-        done = 0
         while done < trials:
             m = min(chunk, trials - done)
-            x = (rng.random((m, profile.n)) < ps).sum(axis=1)
+            x = (rng.random((m, profile.n)) < ps).sum(axis=1, dtype=np.min_scalar_type(profile.n))
             hits += int((np.abs(x - mu) >= cut).sum())
             done += m
         prob = hits / trials

@@ -2,8 +2,9 @@
 or a non-integer raises TypeError, a value below the argument's least value
 (or above its most, or a non-power of two where one is needed) raises
 ValueError, and each message starts with the argument's name.  The
-real-valued bounds `d`, `mu`, `max_load` and `load_target` raise ValueError
-for anything but a number in range, nan included.  A per-slot histogram
+real-valued bounds `d`, `mu`, `max_load`, `load_target` and each of a
+profile's `probabilities` raise ValueError for anything but a number in
+range, nan included.  A per-slot histogram
 `counts` must be a 1-D integer array (TypeError) of power-of-two length with
 no negative entry (ValueError).  A refused call draws and enumerates nothing
 first; numpy integers and floats are accepted."""
@@ -134,6 +135,10 @@ def load_target(v):
     return ExperimentConfig("max_run", n_values=(8,), load_target=v)
 
 
+def probabilities(v):
+    return BernoulliProfile((0.5, v))
+
+
 @pytest.mark.parametrize("call,value", [
     *((lambda v: tail_check(SMALL, v), v) for v in (True, "4", None, math.nan, math.inf, -1, 0)),
     *((lambda v: tail_check(LARGE, v, trials=9, seed=1), v) for v in (True, "4", math.inf, 0)),
@@ -141,9 +146,10 @@ def load_target(v):
       for v in ("4", None, math.nan, -1, 0.5, True)),
     *((bound, v) for bound in (max_load, load_target)
       for v in (True, "4", None, math.nan, math.inf, -1, 0, 1, 1.0, np.float32(1))),
+    *((probabilities, v) for v in (True, np.True_, "0.5", None, math.nan, math.inf, -0.5, 1.5)),
 ])
 def test_real_bound_refused_by_name(nothing_drawn, call, value):
-    with pytest.raises(ValueError, match="^(d|mu|max_load|load_target) "):
+    with pytest.raises(ValueError, match="^(d|mu|max_load|load_target|probabilities) "):
         call(value)
 
 
@@ -153,6 +159,15 @@ def test_numpy_floats_accepted():
     assert load_target(f(0.5)).load_target == 0.5
     assert fourth_moment_bound(f(2)) == fourth_moment_bound(2)
     assert tail_check(SMALL, f(2)) == tail_check(SMALL, 2.0)
+
+
+def test_profile_holds_a_hashable_tuple_of_floats():
+    # any iterable of numbers in [0, 1], numpy floats and the ints 0 and 1 included
+    profile = BernoulliProfile([0.5, np.float64(0.25), np.float32(1), 0, 1])
+    assert profile.probabilities == (0.5, 0.25, 1.0, 0.0, 1.0)
+    assert all(type(p) is float for p in profile.probabilities)
+    assert hash(profile) == hash(BernoulliProfile((0.5, 0.25, 1.0, 0.0, 1.0)))
+    assert BernoulliProfile(iter([0.5])).probabilities == (0.5,)
 
 
 HISTOGRAM_CALLS = {"occupancy": occupancy, "max_run_from_counts": max_run_from_counts,

@@ -166,13 +166,26 @@ class TestBruteForce:
         profile = BernoulliProfile(tuple(derived_rng(12, 0).random(20)))
         assert (sum_distribution(profile) == reference_distribution(profile)).all()
 
-    @pytest.mark.parametrize("n", [13, 14, 15, 17, 20])
+    @pytest.mark.parametrize("n", [moments._BLOCK_BITS + e for e in (-1, 0, 1, 3, 6)])
     def test_exact_at_block_boundaries(self, n):
-        # one block below, at and above 2^14 outcomes, and 8 and 64 blocks
-        assert moments._BLOCK_BITS == 14
+        # one block below, at and above 2^_BLOCK_BITS outcomes, and 8 and 64 blocks
         profile = BernoulliProfile(tuple(derived_rng(14, n).random(n)))
         assert_distribution_exact(profile)
         assert_moments_exact(profile)
+
+    def test_block_arrays_stay_under_the_mmap_threshold(self):
+        # glibc maps each allocation of 128 KiB or more afresh, which faults in
+        # its pages on every block; 2^13 float64 outcomes take 64 KiB
+        profile = BernoulliProfile(tuple(derived_rng(12, 0).random(moments.ENUM_LIMIT)))
+        blocks = list(moments._outcome_blocks(profile))
+        assert len(blocks) == 2 ** (moments.ENUM_LIMIT - moments._BLOCK_BITS)
+        assert all(a.nbytes <= 64 * 1024 for block in blocks for a in block)
+
+    def test_popcount_slice_counts_each_outcomes_successes(self):
+        for bits in range(moments._BLOCK_BITS + 1):
+            succ = moments._POPCOUNT[:1 << bits]
+            assert succ.dtype == np.uint8 and len(succ) == 1 << bits
+            assert succ.tolist() == [bin(outcome).count("1") for outcome in range(1 << bits)]
 
     def test_enumeration_memory_does_not_grow_with_n(self):
         # all 2^20 outcomes held at once take over 20 MB
@@ -360,6 +373,12 @@ class TestTailCheck:
         prob = int((np.abs(x - mu) >= cut).sum()) / trials
         assert rep.empirical_prob == prob
         assert rep.std_error == math.sqrt(max(prob * (1 - prob), 1e-12) / trials)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_sampled_counts_do_not_wrap(self, n):
+        # X = mu on every trial; a count wrapping to 0 at n = 256 would read 1
+        rep = tail_check(BernoulliProfile.uniform(n, 1.0), d=1.0, trials=3, seed=1)
+        assert not rep.exact and rep.empirical_prob == 0
 
     def test_sampling_memory_does_not_grow_with_trials(self):
         # 2^11 rows of 256 variables at a time take 4.8 MB

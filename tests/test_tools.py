@@ -1,6 +1,7 @@
 """`tools/bench_pairs.py`'s summary on synthetic runs: no benchmark is run."""
 
 import importlib.util
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,3 +49,23 @@ def test_summary_leaves_out_a_metric_missing_from_a_run():
     runs = runs_of([1.0] * 3, [0.9] * 3)
     runs["change"][1]["metrics"] = {}
     assert bench_pairs.summarize(runs, {"wall_s": "lower"}) == {}
+
+
+@pytest.mark.parametrize("n,k,level", [
+    (1, 1, 0), (5, 1, Fraction(30, 32)), (6, 1, Fraction(62, 64)), (10, 2, Fraction(1002, 1024)),
+    (20, 6, 1 - Fraction(2 * sum(math.comb(20, i) for i in range(6)), 2**20)),
+])
+def test_shift_interval_takes_the_widest_order_statistics_needed(n, k, level):
+    # shifts 1, ..., n in no order: the k-th smallest is k
+    shifts = [float((7 * i) % n + 1) for i in range(n)]
+    assert sorted(shifts) == [float(v) for v in range(1, n + 1)]
+    ci = bench_pairs.shift_interval(shifts)
+    assert (ci["low"], ci["high"]) == (k, n + 1 - k)
+    assert ci["level"] == level and (ci["level"] >= 0.95) == (n >= 6)
+
+
+def test_summary_reports_the_shift_interval_per_metric():
+    # change minus parent is -10, ..., -1 across 10 pairs
+    parent, change = [20.0] * 10, [10.0 + (3 * i) % 10 for i in range(10)]
+    row = bench_pairs.summarize(runs_of(parent, change), {"wall_s": "lower"})["wall_s"]
+    assert row["shift_ci"] == {"low": -9.0, "high": -2.0, "level": 1 - 22 / 1024}

@@ -15,8 +15,9 @@ time of a pass.  The last line of standard output is one JSON object: per
 end-to-end metric, each side's median, quartiles (inclusive method), min
 and max, the parent's interquartile range, the pairs the change wins (ties
 count for neither side), the exact two-sided sign-test p-value of those
-wins among the pairs that are not ties, and the change of the median as a
-fraction of the parent's.
+wins among the pairs that are not ties, the change of the median as a
+fraction of the parent's, and a distribution-free confidence interval for
+the median of the paired shifts (change minus parent, run i of each side).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 FAULT_PASSES = 5
+SHIFT_LEVEL = 0.95  # least coverage sought for the median-shift interval
 
 # One process: build the workload's inputs, run a warm-up pass, then time
 # passes and count the page faults and system time each one takes.
@@ -97,6 +99,18 @@ def sign_test_p(wins: int, decided: int) -> float:
     return min(1.0, 2 * tail / 2**decided)
 
 
+def shift_interval(shifts: list[float]) -> dict:
+    """Sign-test confidence interval for the median of `shifts`: their k-th
+    smallest and k-th largest, which cover it with probability
+    1 - 2 P[Bin(n, 1/2) < k] whatever their distribution, for the largest k
+    whose coverage is at least SHIFT_LEVEL (k = 1 if none is).  10 shifts
+    give the 2nd and the 9th, at 1 - 22/1024 = 97.9%."""
+    n, ordered = len(shifts), sorted(shifts)
+    levels = {k: 1 - sign_test_p(k - 1, n) for k in range(1, (n + 1) // 2 + 1)}
+    k = max((k for k, level in levels.items() if level >= SHIFT_LEVEL), default=1)
+    return {"low": ordered[k - 1], "high": ordered[n - k], "level": levels[k]}
+
+
 def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
     """Per metric named in `better` ("lower" or "higher"), each side's spread
     over its runs and the change's wins over the pairs, run i of each side
@@ -117,6 +131,7 @@ def summarize(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
             "change_wins": wins, "ties": ties, "pairs": len(pairs),
             "sign_test_p": sign_test_p(wins, len(pairs) - ties),
             "median_change_frac": c["median"] / p["median"] - 1 if p["median"] else None,
+            "shift_ci": shift_interval([c - p for p, c in zip(parent, change)]),
         }
     return summary
 
